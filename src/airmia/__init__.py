@@ -1,73 +1,3 @@
 """Wireless signal authentication simulator and membership inference attack testbed."""
 
-from .errors import (
-    ArtifactError,
-    InvalidConfigError,
-    InvalidInputError,
-    PipelineStageError,
-)
-from .rfsim import (
-    ChannelLink,
-    DeviceProfile,
-    Modulation,
-    NoiseModel,
-    PairedObservation,
-    Receiver,
-    SignalSample,
-    modulate,
-    propagate,
-    snr_to_received_power,
-    transmit_paired,
-)
-from .scenarios import (
-    DataBundle,
-    DriftModel,
-    Scenario,
-    ScenarioConfig,
-    ScenarioCounts,
-    UserCounts,
-    apply_scenario_constraints,
-    generate_scenario_data,
-)
-from .tinynn import (
-    AdamState,
-    DenseNetwork,
-    OutputHead,
-    TrainHyper,
-    adam_step,
-    backward,
-    cross_entropy_loss,
-    forward,
-    grad_check,
-    init_network,
-    train_supervised,
-)
-from .classify import (
-    ClassifierReport,
-    classification_accuracy,
-    predict_posterior,
-    train_surrogate,
-    train_target,
-)
-from .mia import (
-    ConfusionMatrix,
-    MembershipDataset,
-    MiaModel,
-    empirical_gain,
-    evaluate_mia,
-    infer_membership,
-    mia_input,
-    naive_likelihood_mia,
-    train_mia,
-)
-from .harness import (
-    PipelineHyper,
-    ScenarioReport,
-    load_artifacts,
-    reevaluate_artifacts,
-    run_all,
-    run_scenario,
-    save_artifacts,
-)
-
 __version__ = "0.1.0"

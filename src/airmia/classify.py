@@ -10,9 +10,8 @@ provider-side view.
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .tinynn import (
     PHASE_SCALE,
     POWER_SCALE,
     TrainHyper,
+    atomic_write_text,
     forward_batch,
     init_network,
     train_supervised,
@@ -58,10 +58,9 @@ class ClassifierReport:
     dataset_sizes: dict
     seed: int
     train_seconds: float = 0.0  # kept out of the persisted document
-    extras: dict = field(default_factory=dict)
 
     def to_document(self) -> dict:
-        doc = {
+        return {
             "version": REPORT_FORMAT_VERSION,
             "role": self.role,
             "train_accuracy": self.train_accuracy,
@@ -70,16 +69,12 @@ class ClassifierReport:
             "dataset_sizes": self.dataset_sizes,
             "seed": self.seed,
         }
-        doc.update(self.extras)
-        return doc
 
 
 def report_from_document(doc: dict, source: str = "<document>") -> ClassifierReport:
     try:
         if doc["version"] != REPORT_FORMAT_VERSION:
             raise ArtifactError(f"{source}: unknown report version {doc['version']!r}")
-        known = {"version", "role", "train_accuracy", "test_accuracy",
-                 "loss_history", "dataset_sizes", "seed"}
         return ClassifierReport(
             role=doc["role"],
             train_accuracy=float(doc["train_accuracy"]),
@@ -87,7 +82,6 @@ def report_from_document(doc: dict, source: str = "<document>") -> ClassifierRep
             loss_history=[float(v) for v in doc["loss_history"]],
             dataset_sizes=dict(doc["dataset_sizes"]),
             seed=int(doc["seed"]),
-            extras={k: doc[k] for k in doc if k not in known},
         )
     except ArtifactError:
         raise
@@ -96,10 +90,7 @@ def report_from_document(doc: dict, source: str = "<document>") -> ClassifierRep
 
 
 def save_report(report: ClassifierReport, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_document(), sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(report.to_document(), sort_keys=True))
 
 
 def load_report(path) -> ClassifierReport:
@@ -109,15 +100,6 @@ def load_report(path) -> ClassifierReport:
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"cannot load report from {path}: {exc}") from exc
     return report_from_document(doc, source=str(path))
-
-
-def predict_posterior(net: DenseNetwork, sample: SignalSample) -> np.ndarray:
-    """Posterior pair for one sample; argmax is the label, ties go to class 0."""
-    x = sample_features(sample)
-    if x.size != net.input_dim:
-        raise InvalidInputError(f"sample has {x.size} features, network wants {net.input_dim}")
-    out, _ = forward_batch(net, x[None, :])
-    return out[0]
 
 
 def posterior_matrix(net: DenseNetwork, samples) -> np.ndarray:

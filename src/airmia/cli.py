@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import classify, harness, mia, scenarios, tinynn
+from . import harness, mia, scenarios
 from .errors import ArtifactError, InvalidConfigError, InvalidInputError, PipelineStageError
 from .scenarios import Scenario
 
@@ -92,9 +92,7 @@ def _print_report_summary(report: harness.ScenarioReport) -> None:
 def _cmd_gen(args) -> int:
     config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
     cell = harness.cell_dir(out_dir, config)
-    bundle = scenarios.generate_scenario_data(config)
-    harness.save_datasets(bundle, cell / "datasets")
-    harness.write_json(cell / "config.json", scenarios.config_to_document(config))
+    harness.save_datasets(scenarios.generate_scenario_data(config), cell)
     print(f"wrote datasets for {config.scenario.value} seed {config.seed} "
           f"to {cell / 'datasets'}")
     return 0
@@ -103,20 +101,10 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
     cell = harness.cell_dir(out_dir, config)
-    data = harness.load_datasets(cell / "datasets")
-    hyper = harness.PipelineHyper.for_config(config)
-    provider_test = [p.provider_view for p in data["test_pairs"]]
-    adversary_test = [p.adversary_view for p in data["test_pairs"]]
-    target, target_report = classify.train_target(
-        data["provider_train"], provider_test, hyper.target)
-    surrogate, surrogate_report = classify.train_surrogate(
-        data["surrogate_pairs"], target, adversary_test, hyper.surrogate)
-    models = cell / "models"
-    models.mkdir(parents=True, exist_ok=True)
-    tinynn.save_model(target, models / "target.json")
-    tinynn.save_model(surrogate, models / "surrogate.json")
-    classify.save_report(target_report, models / "target_report.json")
-    classify.save_report(surrogate_report, models / "surrogate_report.json")
+    bundle = harness.load_datasets(cell, config)
+    target, target_report, surrogate, surrogate_report = harness.train_classifiers(
+        bundle, harness.PipelineHyper.for_config(config))
+    harness.save_classifiers(cell, target, target_report, surrogate, surrogate_report)
     print(f"target test accuracy    {target_report.test_accuracy:.4f}")
     print(f"surrogate test accuracy {surrogate_report.test_accuracy:.4f}")
     return 0
@@ -125,34 +113,10 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
     cell = harness.cell_dir(out_dir, config)
-    data = harness.load_datasets(cell / "datasets")
-    target = tinynn.load_model(cell / "models" / "target.json")
-    surrogate = tinynn.load_model(cell / "models" / "surrogate.json")
-    target_report = classify.load_report(cell / "models" / "target_report.json")
-    surrogate_report = classify.load_report(cell / "models" / "surrogate_report.json")
-    hyper = harness.PipelineHyper.for_config(config)
-    dataset = mia.split_membership(data["member_eval"], data["nonmember_eval"],
-                                   hyper.split_seed)
-    model, gain_history = mia.train_mia(surrogate, dataset, hyper.mia)
-    members_test = [dataset.members[i] for i in dataset.member_test_idx]
-    nonmembers_test = [dataset.nonmembers[i] for i in dataset.nonmember_test_idx]
-    confusion = mia.evaluate_mia(model, surrogate, members_test, nonmembers_test)
-    report = harness.ScenarioReport(
-        config=config,
-        seeds=hyper.seed_record(config),
-        target_report=target_report,
-        surrogate_report=surrogate_report,
-        confusion=confusion,
-        gain_history=gain_history,
-        paired_agreement=classify.paired_agreement(target, surrogate, data["test_pairs"]),
-        unauthorized_grant_rate=classify.grant_rate(
-            target, data["unauthorized_provider_views"]),
-    )
-    mia.save_mia_model(model, cell / "models" / "mia.json")
-    harness.write_json(cell / "report.json", report.to_document())
-    harness.write_json(cell / "confusion.json", confusion.to_document(
-        scenario=config.scenario.value, seed=config.seed))
-    harness.atomic_write_text(cell / "confusion.csv", confusion.to_csv_text())
+    bundle = harness.load_datasets(cell, config)
+    model, report = harness.attack(bundle, harness.PipelineHyper.for_config(config),
+                                   *harness.load_classifiers(cell))
+    harness.save_attack(cell, model, report)
     _print_report_summary(report)
     return 0
 

@@ -3,21 +3,25 @@
 Every run is a pure function of (ScenarioConfig, training hyperparameters):
 all stage seeds derive from the scenario seed, report.json contains no
 volatile fields, and artifacts are written atomically (write-then-rename).
+run_scenario and the staged CLI commands share the stages
+(train_classifiers, attack) and the writers (save_datasets,
+save_classifiers, save_attack); reevaluate_artifacts shares attack's
+held-out evaluation.
 
 Artifact layout per run: <out>/<scenario>/<seed>/
     config.json
     datasets/*.csv
     models/{target,surrogate,mia}.json + classifier reports
-    report.json, confusion.csv, timings.json
+    report.json, confusion.json, confusion.csv, timings.json (written last)
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ import numpy as np
 from . import classify, mia, scenarios, tinynn
 from .errors import ArtifactError, InvalidConfigError, PipelineStageError
 from .scenarios import DataBundle, Scenario, ScenarioConfig
+from .tinynn import atomic_write, atomic_write_text
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -79,7 +84,6 @@ class ScenarioReport:
     gain_history: dict
     paired_agreement: float
     unauthorized_grant_rate: float
-    wall_seconds: float = 0.0  # volatile; never part of report.json
 
     @property
     def mia_accuracy(self) -> float:
@@ -135,14 +139,14 @@ def load_report_file(path) -> ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
-# Atomic persistence
+# Persistence
 # ---------------------------------------------------------------------------
 
-def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+# The dataset CSVs of a cell, in DataBundle field order, with their row kind.
+_DATASETS = (("provider_train", "samples"), ("train_pairs_class1", "pairs"),
+            ("member_eval", "samples"), ("nonmember_eval", "samples"),
+            ("surrogate_pairs", "pairs"), ("test_pairs", "pairs"),
+            ("unauthorized_provider_views", "samples"))
 
 
 def write_json(path, doc) -> None:
@@ -153,62 +157,63 @@ def cell_dir(out_dir, config: ScenarioConfig) -> Path:
     return Path(out_dir) / config.scenario.value / str(config.seed)
 
 
-def save_datasets(bundle: DataBundle, directory) -> None:
-    directory = Path(directory)
+def save_datasets(bundle: DataBundle, cell) -> None:
+    """Write the dataset CSVs under <cell>/datasets, then config.json."""
+    directory = Path(cell) / "datasets"
     directory.mkdir(parents=True, exist_ok=True)
-
-    def atomically(write_fn, items, name):
-        tmp = directory / f"{name}.csv.tmp"
-        write_fn(items, tmp)
-        os.replace(tmp, directory / f"{name}.csv")
-
-    atomically(scenarios.write_samples_csv, bundle.provider_train, "provider_train")
-    atomically(scenarios.write_pairs_csv, bundle.train_pairs_class1, "train_pairs_class1")
-    atomically(scenarios.write_samples_csv, bundle.member_eval, "member_eval")
-    atomically(scenarios.write_samples_csv, bundle.nonmember_eval, "nonmember_eval")
-    atomically(scenarios.write_pairs_csv, bundle.surrogate_pairs, "surrogate_pairs")
-    atomically(scenarios.write_pairs_csv, bundle.test_pairs, "test_pairs")
-    atomically(scenarios.write_samples_csv, bundle.unauthorized_provider_views,
-               "unauthorized_provider_views")
+    for name, kind in _DATASETS:
+        write_csv = getattr(scenarios, f"write_{kind}_csv")
+        atomic_write(directory / f"{name}.csv", partial(write_csv, getattr(bundle, name)))
+    write_json(Path(cell) / "config.json", scenarios.config_to_document(bundle.config))
 
 
-def save_artifacts(out_dir, bundle: DataBundle, target, surrogate, mia_model,
-                   report: ScenarioReport, timings: dict | None = None) -> Path:
-    """Persist one run's datasets, models, and reports under the cell directory."""
-    cell = cell_dir(out_dir, report.config)
-    (cell / "models").mkdir(parents=True, exist_ok=True)
-    save_datasets(bundle, cell / "datasets")
-    tinynn.save_model(target, cell / "models" / "target.json")
-    tinynn.save_model(surrogate, cell / "models" / "surrogate.json")
-    mia.save_mia_model(mia_model, cell / "models" / "mia.json")
-    classify.save_report(report.target_report, cell / "models" / "target_report.json")
-    classify.save_report(report.surrogate_report, cell / "models" / "surrogate_report.json")
-    write_json(cell / "config.json", scenarios.config_to_document(report.config))
+def save_classifiers(cell, target, target_report, surrogate, surrogate_report) -> None:
+    models = Path(cell) / "models"
+    models.mkdir(parents=True, exist_ok=True)
+    tinynn.save_model(target, models / "target.json")
+    tinynn.save_model(surrogate, models / "surrogate.json")
+    classify.save_report(target_report, models / "target_report.json")
+    classify.save_report(surrogate_report, models / "surrogate_report.json")
+
+
+def save_attack(cell, model: mia.MiaModel, report: ScenarioReport) -> None:
+    """Write mia.json, report.json, confusion.json and confusion.csv."""
+    cell = Path(cell)
+    mia.save_mia_model(model, cell / "models" / "mia.json")
     write_json(cell / "report.json", report.to_document())
     write_json(cell / "confusion.json", report.confusion.to_document(
         scenario=report.config.scenario.value, seed=report.config.seed))
     atomic_write_text(cell / "confusion.csv", report.confusion.to_csv_text())
-    if timings is not None:
-        write_json(cell / "timings.json", timings)
+
+
+def save_artifacts(out_dir, bundle: DataBundle, target, surrogate, mia_model,
+                   report: ScenarioReport) -> Path:
+    """Persist one run's datasets, models, and reports under the cell directory."""
+    cell = cell_dir(out_dir, report.config)
+    save_datasets(bundle, cell)
+    save_classifiers(cell, target, report.target_report, surrogate, report.surrogate_report)
+    save_attack(cell, mia_model, report)
     return cell
 
 
-def load_datasets(directory) -> dict:
-    directory = Path(directory)
-    return {
-        "provider_train": scenarios.read_samples_csv(directory / "provider_train.csv"),
-        "train_pairs_class1": scenarios.read_pairs_csv(directory / "train_pairs_class1.csv"),
-        "member_eval": scenarios.read_samples_csv(directory / "member_eval.csv"),
-        "nonmember_eval": scenarios.read_samples_csv(directory / "nonmember_eval.csv"),
-        "surrogate_pairs": scenarios.read_pairs_csv(directory / "surrogate_pairs.csv"),
-        "test_pairs": scenarios.read_pairs_csv(directory / "test_pairs.csv"),
-        "unauthorized_provider_views": scenarios.read_samples_csv(
-            directory / "unauthorized_provider_views.csv"),
-    }
+def load_datasets(cell, config: ScenarioConfig) -> DataBundle:
+    directory = Path(cell) / "datasets"
+    return DataBundle(config=config, **{
+        name: getattr(scenarios, f"read_{kind}_csv")(directory / f"{name}.csv")
+        for name, kind in _DATASETS})
+
+
+def load_classifiers(cell):
+    """(target, target_report, surrogate, surrogate_report) from <cell>/models."""
+    models = Path(cell) / "models"
+    return (tinynn.load_model(models / "target.json"),
+            classify.load_report(models / "target_report.json"),
+            tinynn.load_model(models / "surrogate.json"),
+            classify.load_report(models / "surrogate_report.json"))
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages
+# Pipeline stages, shared by run_scenario, the staged CLI and reevaluation
 # ---------------------------------------------------------------------------
 
 def _stage(name: str, fn):
@@ -218,6 +223,56 @@ def _stage(name: str, fn):
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
+
+
+def train_classifiers(bundle: DataBundle, hyper: PipelineHyper, stage=_stage):
+    """Fit the provider's target, then the surrogate on its observed grants.
+
+    Returns (target, target_report, surrogate, surrogate_report). `stage`
+    runs each step under its stage name.
+    """
+    target, target_report = stage("train-target", lambda: classify.train_target(
+        bundle.provider_train, bundle.provider_test, hyper.target))
+    surrogate, surrogate_report = stage("train-surrogate", lambda: classify.train_surrogate(
+        bundle.surrogate_pairs, target, bundle.adversary_test, hyper.surrogate))
+    return target, target_report, surrogate, surrogate_report
+
+
+def _held_out_numbers(bundle: DataBundle, dataset: mia.MembershipDataset,
+                      target, surrogate, model: mia.MiaModel):
+    """(confusion, paired agreement, unauthorized grant rate) on held-out data."""
+    confusion = mia.evaluate_mia(model, surrogate,
+                                 [dataset.members[i] for i in dataset.member_test_idx],
+                                 [dataset.nonmembers[i] for i in dataset.nonmember_test_idx])
+    agreement = classify.paired_agreement(target, surrogate, bundle.test_pairs)
+    unauthorized_rate = classify.grant_rate(target, bundle.unauthorized_provider_views)
+    return confusion, agreement, unauthorized_rate
+
+
+def attack(bundle: DataBundle, hyper: PipelineHyper, target, target_report,
+           surrogate, surrogate_report, stage=_stage):
+    """Fit the inference model and score the attack: (model, ScenarioReport)."""
+
+    def fit():
+        dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
+                                       hyper.split_seed)
+        model, gain_history = mia.train_mia(surrogate, dataset, hyper.mia)
+        return dataset, model, gain_history
+
+    dataset, model, gain_history = stage("train-mia", fit)
+    confusion, agreement, unauthorized_rate = stage("evaluate", lambda: _held_out_numbers(
+        bundle, dataset, target, surrogate, model))
+    report = ScenarioReport(
+        config=bundle.config,
+        seeds=hyper.seed_record(bundle.config),
+        target_report=target_report,
+        surrogate_report=surrogate_report,
+        confusion=confusion,
+        gain_history=gain_history,
+        paired_agreement=agreement,
+        unauthorized_grant_rate=unauthorized_rate,
+    )
+    return model, report
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None,
@@ -234,50 +289,18 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
         return result
 
     bundle = timed("generate", lambda: scenarios.generate_scenario_data(config))
-    target, target_report = timed("train-target", lambda: classify.train_target(
-        bundle.provider_train, bundle.provider_test, hyper.target))
-    surrogate, surrogate_report = timed("train-surrogate", lambda: classify.train_surrogate(
-        bundle.surrogate_pairs, target, bundle.adversary_test, hyper.surrogate))
-
-    def _train_mia():
-        dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
-                                       hyper.split_seed)
-        model, gain_history = mia.train_mia(surrogate, dataset, hyper.mia)
-        return dataset, model, gain_history
-
-    dataset, model, gain_history = timed("train-mia", _train_mia)
-
-    def _evaluate():
-        members_test = [dataset.members[i] for i in dataset.member_test_idx]
-        nonmembers_test = [dataset.nonmembers[i] for i in dataset.nonmember_test_idx]
-        confusion = mia.evaluate_mia(model, surrogate, members_test, nonmembers_test)
-        agreement = classify.paired_agreement(target, surrogate, bundle.test_pairs)
-        unauthorized_rate = classify.grant_rate(target, bundle.unauthorized_provider_views)
-        return confusion, agreement, unauthorized_rate
-
-    confusion, agreement, unauthorized_rate = timed("evaluate", _evaluate)
-
-    report = ScenarioReport(
-        config=config,
-        seeds=hyper.seed_record(config),
-        target_report=target_report,
-        surrogate_report=surrogate_report,
-        confusion=confusion,
-        gain_history=gain_history,
-        paired_agreement=agreement,
-        unauthorized_grant_rate=unauthorized_rate,
-        wall_seconds=time.perf_counter() - started,
-    )
-
+    target, target_report, surrogate, surrogate_report = train_classifiers(bundle, hyper, timed)
+    model, report = attack(bundle, hyper, target, target_report, surrogate, surrogate_report,
+                           timed)
     if out_dir is not None:
-        timings = {
-            "wall_seconds": report.wall_seconds,
+        cell = timed("persist", lambda: save_artifacts(out_dir, bundle, target, surrogate,
+                                                       model, report))
+        write_json(cell / "timings.json", {
+            "wall_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
             "target_train_seconds": target_report.train_seconds,
             "surrogate_train_seconds": surrogate_report.train_seconds,
-        }
-        _stage("persist", lambda: save_artifacts(out_dir, bundle, target, surrogate,
-                                                 model, report, timings))
+        })
 
     return report
 
@@ -350,15 +373,15 @@ def load_artifacts(directory) -> dict:
         config = scenarios.config_from_document(config_doc)
     except InvalidConfigError as exc:
         raise ArtifactError(f"{config_path}: {exc}") from exc
+    bundle = load_datasets(directory, config)
+    target, target_report, surrogate, surrogate_report = load_classifiers(directory)
     return {
-        "config": config,
-        "datasets": load_datasets(directory / "datasets"),
-        "target": tinynn.load_model(directory / "models" / "target.json"),
-        "surrogate": tinynn.load_model(directory / "models" / "surrogate.json"),
+        "datasets": bundle,
+        "target": target,
+        "surrogate": surrogate,
         "mia_model": mia.load_mia_model(directory / "models" / "mia.json"),
-        "target_report": classify.load_report(directory / "models" / "target_report.json"),
-        "surrogate_report": classify.load_report(
-            directory / "models" / "surrogate_report.json"),
+        "target_report": target_report,
+        "surrogate_report": surrogate_report,
         "report": load_report_file(directory / "report.json"),
     }
 
@@ -380,30 +403,24 @@ def evaluation_numbers(report: ScenarioReport) -> dict:
 def reevaluate_artifacts(directory) -> dict:
     """Recompute every evaluation number from persisted datasets and models."""
     art = load_artifacts(directory)
-    config, data = art["config"], art["datasets"]
-    target, surrogate, model = art["target"], art["surrogate"], art["mia_model"]
-    provider_test = [p.provider_view for p in data["test_pairs"]]
-    adversary_test = [p.adversary_view for p in data["test_pairs"]]
-    observed = classify.observed_access_labels(data["surrogate_pairs"], target)
-    surrogate_views = [p.adversary_view for p in data["surrogate_pairs"]]
+    bundle, target, surrogate = art["datasets"], art["target"], art["surrogate"]
+    observed = classify.observed_access_labels(bundle.surrogate_pairs, target)
+    surrogate_views = [p.adversary_view for p in bundle.surrogate_pairs]
     surrogate_train_acc = float(np.mean(
         classify.predicted_labels(surrogate, surrogate_views) == observed))
-    dataset = mia.split_membership(data["member_eval"], data["nonmember_eval"],
-                                   derive_seed(config.seed, "split"))
-    members_test = [dataset.members[i] for i in dataset.member_test_idx]
-    nonmembers_test = [dataset.nonmembers[i] for i in dataset.nonmember_test_idx]
-    confusion = mia.evaluate_mia(model, surrogate, members_test, nonmembers_test)
+    dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
+                                   derive_seed(bundle.config.seed, "split"))
+    confusion, agreement, unauthorized_rate = _held_out_numbers(
+        bundle, dataset, target, surrogate, art["mia_model"])
     return {
         "target_train_accuracy": classify.classification_accuracy(
-            target, data["provider_train"]),
-        "target_test_accuracy": classify.classification_accuracy(target, provider_test),
+            target, bundle.provider_train),
+        "target_test_accuracy": classify.classification_accuracy(target, bundle.provider_test),
         "surrogate_train_accuracy": surrogate_train_acc,
         "surrogate_test_accuracy": classify.classification_accuracy(
-            surrogate, adversary_test),
+            surrogate, bundle.adversary_test),
         "mia_accuracy": confusion.accuracy,
         "mia_counts": confusion.counts.tolist(),
-        "paired_agreement": classify.paired_agreement(target, surrogate,
-                                                      data["test_pairs"]),
-        "unauthorized_grant_rate": classify.grant_rate(
-            target, data["unauthorized_provider_views"]),
+        "paired_agreement": agreement,
+        "unauthorized_grant_rate": unauthorized_rate,
     }

@@ -1,4 +1,4 @@
-"""Membership inference: gain objective, inference model, baseline, evaluation.
+"""Membership inference: gain objective, inference model, evaluation.
 
 The inference model m maps a sample's 32 scaled features plus the surrogate
 classifier's posterior pair (34 inputs in total) to a probability that the
@@ -12,7 +12,6 @@ constant model when the two sets share one distribution.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .tinynn import (
     PROB_FLOOR,
     TrainHyper,
     adam_step,
+    atomic_write_text,
     backward,
     forward_batch,
     init_network,
@@ -35,8 +35,6 @@ from .classify import features_matrix, posterior_matrix
 
 MIA_DIMS = [34, 100, 100, 1]
 MIA_INPUT_DIM = 34
-
-MIA_HYPER_DEFAULTS = dict(epochs=200, batch_size=64, learning_rate=1e-3)
 
 MIA_FORMAT_VERSION = "1"
 
@@ -55,12 +53,8 @@ class MiaModel:
                 f"got {self.network.input_dim}")
 
 
-def mia_input(sample, surrogate: DenseNetwork) -> np.ndarray:
-    """Scaled features concatenated with the surrogate's full posterior."""
-    return mia_inputs([sample], surrogate)[0]
-
-
 def mia_inputs(samples, surrogate: DenseNetwork) -> np.ndarray:
+    """Scaled features concatenated with the surrogate's full posterior, per row."""
     feats = features_matrix(samples)
     post = posterior_matrix(surrogate, samples)
     return np.concatenate([feats, post], axis=1)
@@ -83,12 +77,6 @@ def empirical_gain(member_probs, nonmember_probs) -> float:
     term_members = np.log(np.maximum(m, PROB_FLOOR)).mean()
     term_nonmembers = np.log(np.maximum(1.0 - nm, PROB_FLOOR)).mean()
     return float(0.5 * term_members + 0.5 * term_nonmembers)
-
-
-def model_gain(model: MiaModel, surrogate: DenseNetwork, members, nonmembers) -> float:
-    return empirical_gain(
-        membership_probabilities(model, surrogate, members),
-        membership_probabilities(model, surrogate, nonmembers))
 
 
 @dataclass(frozen=True)
@@ -118,16 +106,14 @@ class MembershipDataset:
                 raise InvalidConfigError("member and nonmember sets overlap")
 
 
-def split_membership(members, nonmembers, seed: int, train_fraction: float = 0.5,
+def split_membership(members, nonmembers, seed: int,
                      allow_overlap: bool = False) -> MembershipDataset:
-    """Shuffle each side and split it into train/test partitions."""
-    if not 0 < train_fraction < 1:
-        raise InvalidConfigError("train_fraction must be in (0, 1)")
+    """Shuffle each side and split it in half into train/test partitions."""
     rng = np.random.default_rng((seed, 0))
     mem_order = rng.permutation(len(members))
     non_order = rng.permutation(len(nonmembers))
-    n_mem_train = int(round(len(members) * train_fraction))
-    n_non_train = int(round(len(nonmembers) * train_fraction))
+    n_mem_train = round(len(members) / 2)
+    n_non_train = round(len(nonmembers) / 2)
     return MembershipDataset(
         members=list(members),
         nonmembers=list(nonmembers),
@@ -137,10 +123,6 @@ def split_membership(members, nonmembers, seed: int, train_fraction: float = 0.5
         nonmember_test_idx=np.sort(non_order[n_non_train:]),
         allow_overlap=allow_overlap,
     )
-
-
-def mia_hyper(seed: int) -> TrainHyper:
-    return TrainHyper(seed=seed, **MIA_HYPER_DEFAULTS)
 
 
 def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainHyper):
@@ -187,7 +169,7 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
         )
 
     for _ in range(hyper.epochs):
-        order = rng.permutation(n_train) if hyper.shuffle else np.arange(n_train)
+        order = rng.permutation(n_train)
         for start in range(0, n_train, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
             out, cache = forward_batch(net, x_train[idx])
@@ -203,12 +185,6 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
         history["test"].append(test_gain)
 
     return MiaModel(network=net), history
-
-
-def infer_membership(model: MiaModel, surrogate: DenseNetwork, sample):
-    """(probability, decision); an exact 0.5 resolves to non-member."""
-    prob = float(membership_probabilities(model, surrogate, [sample])[0])
-    return prob, prob > model.decision_threshold
 
 
 @dataclass(frozen=True)
@@ -278,31 +254,13 @@ def evaluate_mia(model: MiaModel, surrogate: DenseNetwork, members_test, nonmemb
     return ConfusionMatrix.from_counts(counts)
 
 
-def naive_likelihood_mia(density_train, density_general, x):
-    """Likelihood-ratio baseline from two density evaluators.
-
-    Returns (decision, confidence) with confidence P_train / (P_train + P_general).
-    """
-    p_train = float(density_train(x))
-    p_general = float(density_general(x))
-    if p_train < 0 or p_general < 0 or not np.isfinite(p_train) or not np.isfinite(p_general):
-        raise InvalidInputError("densities must be finite and non-negative")
-    total = p_train + p_general
-    if total == 0.0:
-        raise InvalidInputError("both densities are zero at x; confidence undefined")
-    return p_train > p_general, p_train / total
-
-
 def save_mia_model(model: MiaModel, path) -> None:
     doc = {
         "version": MIA_FORMAT_VERSION,
         "decision_threshold": model.decision_threshold,
         "network": model_document(model.network),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_mia_model(path) -> MiaModel:

@@ -137,8 +137,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         c, u = self.counts, self.users
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("provider_train", "surrogate_train", "provider_test",
                      "member_eval", "nonmember_eval"):
             if getattr(c, name) <= 0:
@@ -200,10 +200,6 @@ class Population:
     @property
     def qpsk_users(self) -> list[UserChannels]:
         return self.authorized + self.unauthorized_qpsk
-
-    @property
-    def all_users(self) -> list[UserChannels]:
-        return self.authorized + self.other_bpsk + self.unauthorized_qpsk
 
 
 def _signed_magnitude(r: float, bound: float) -> float:
@@ -368,13 +364,11 @@ def apply_scenario_constraints(config: ScenarioConfig) -> Population:
 
 @dataclass(frozen=True)
 class DataBundle:
-    """Every dataset one scenario run needs, in generation order."""
+    """Every dataset one scenario run needs, generated or loaded from CSV."""
 
     config: ScenarioConfig
-    population: Population
     provider_train: list[SignalSample]
     train_pairs_class1: list[PairedObservation]
-    member_indices: np.ndarray  # indices into train_pairs_class1
     member_eval: list[SignalSample]
     nonmember_eval: list[SignalSample]
     surrogate_pairs: list[PairedObservation]
@@ -474,10 +468,8 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
 
     bundle = DataBundle(
         config=config,
-        population=population,
         provider_train=provider_train,
         train_pairs_class1=train_pairs,
-        member_indices=member_indices,
         member_eval=member_eval,
         nonmember_eval=nonmember_eval,
         surrogate_pairs=surrogate_pairs,
@@ -655,8 +647,7 @@ def config_from_document(doc: dict) -> ScenarioConfig:
                     "provider_snr_spread_db", "adversary_snr_jitter_db"):
             if key in doc:
                 kwargs[key] = float(doc[key])
-        return ScenarioConfig(scenario=Scenario(doc["scenario"]),
-                              seed=int(doc["seed"]), **kwargs)
+        return ScenarioConfig(scenario=Scenario(doc["scenario"]), seed=doc["seed"], **kwargs)
     except KeyError as exc:
         raise InvalidConfigError(f"missing config key: {exc}") from exc
     except (TypeError, ValueError) as exc:

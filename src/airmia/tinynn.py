@@ -104,7 +104,6 @@ class TrainHyper:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
@@ -160,17 +159,6 @@ def forward_batch(net: DenseNetwork, inputs: np.ndarray):
             a = _sigmoid_clipped(z)
         activations.append(a)
     return activations[-1], (activations, pre_acts)
-
-
-def forward(net: DenseNetwork, x):
-    """Single-sample forward: posterior pair for softmax2, float for sigmoid."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError("forward expects a 1-D input vector")
-    out, _ = forward_batch(net, x[None, :])
-    if net.output_head is OutputHead.SOFTMAX2:
-        return out[0]
-    return float(out[0, 0])
 
 
 def cross_entropy_loss(posterior, label: int) -> float:
@@ -249,7 +237,7 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
     onehot = np.eye(2)[y]
     history = []
     for _ in range(hyper.epochs):
-        order = rng.permutation(n) if hyper.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
@@ -362,12 +350,23 @@ def network_from_document(doc: dict, source: str = "<document>") -> DenseNetwork
     return DenseNetwork(layer_dims=dims, weights=weights, biases=biases, output_head=head)
 
 
-def save_model(net: DenseNetwork, path: str) -> None:
-    text = json.dumps(model_document(net), sort_keys=True)
+def atomic_write(path, write) -> None:
+    """Call write(tmp) on `<path>.tmp`, then rename the finished file over path."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write(tmp)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    atomic_write(path, write)
+
+
+def save_model(net: DenseNetwork, path: str) -> None:
+    atomic_write_text(path, json.dumps(model_document(net), sort_keys=True))
 
 
 def load_model(path: str) -> DenseNetwork:

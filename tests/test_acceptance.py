@@ -13,7 +13,7 @@ import numpy as np
 from airmia import classify, harness, mia, scenarios
 from airmia.cli import dispatch
 from airmia.scenarios import Scenario
-from airmia.tinynn import OutputHead, init_network, grad_check
+from airmia.tinynn import OutputHead, TrainHyper, init_network, grad_check
 from conftest import sample_checkable_network
 
 REFERENCE_STRONG_RATES = [[0.9152, 0.0848], [0.1429, 0.8571]]
@@ -126,7 +126,7 @@ def test_criterion_10_null_attack_control():
         # fixed random feature map; both sets come from one distribution
         surrogate = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, seed)
         ds = mia.split_membership(members, nonmembers, seed=seed, allow_overlap=True)
-        model, _ = mia.train_mia(surrogate, ds, mia.mia_hyper(seed))
+        model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=200, seed=seed))
         cm = mia.evaluate_mia(model, surrogate,
                               [ds.members[i] for i in ds.member_test_idx],
                               [ds.nonmembers[i] for i in ds.nonmember_test_idx])

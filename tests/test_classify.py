@@ -41,7 +41,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         net = zero_classifier()
         sample = synthetic_sample(rng)
-        assert classify.predict_posterior(net, sample).tolist() == [0.5, 0.5]
+        assert classify.posterior_matrix(net, [sample]).tolist() == [[0.5, 0.5]]
         assert classify.predicted_labels(net, [sample]).tolist() == [0]
 
     def test_posterior_sums_to_one(self, small_bundle, small_classifiers):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from airmia import harness
+from airmia import classify, harness
 from airmia.cli import OUT_DIR_ENV, dispatch, format_confusion
 from airmia.mia import ConfusionMatrix
 from airmia.scenarios import config_to_document
@@ -94,6 +95,17 @@ class TestStagedPipeline:
         assert dispatch(["gen", *argv]) == 0
         assert dispatch(["attack", *argv]) == 1
         assert "target.json" in capsys.readouterr().err
+
+    def test_surrogate_class_imbalance_is_runtime_error_on_both_paths(
+            self, config_file, tmp_path, monkeypatch, capsys):
+        # a target that grants everyone leaves the surrogate one class to learn
+        monkeypatch.setattr(classify, "observed_access_labels",
+                            lambda pairs, target: np.ones(len(pairs), dtype=int))
+        argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert dispatch(["gen", *argv]) == 0
+        for command in ("train", "run"):
+            assert dispatch([command, *argv]) == 1
+            assert "train-surrogate" in capsys.readouterr().err
 
     def test_train_without_datasets_fails(self, config_file, tmp_path, capsys):
         assert dispatch(["train", "--config", str(config_file),

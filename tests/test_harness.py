@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from airmia import classify, harness
+from airmia import classify, cli, harness
 from airmia.errors import ArtifactError, InvalidConfigError, PipelineStageError
-from airmia.scenarios import Scenario
+from airmia.scenarios import Scenario, config_to_document
 from conftest import small_config, small_hyper
 
 
@@ -15,6 +15,18 @@ def small_run(tmp_path_factory):
     report = harness.run_scenario(config, out_dir=out, hyper=small_hyper(config))
     return {"out": out, "config": config, "report": report,
             "cell": harness.cell_dir(out, config)}
+
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """One gen -> train -> attack cell at reduced counts (default training budget)."""
+    out = tmp_path_factory.mktemp("staged_run")
+    path = out / "config.json"
+    path.write_text(json.dumps(config_to_document(small_config(seed=19))))
+    for command in ("gen", "train", "attack"):
+        assert cli.dispatch([command, "--config", str(path), "--out", str(out)]) == 0
+    cell = out / "full-strong" / "19"
+    return {"cell": cell, "report": harness.load_report_file(cell / "report.json")}
 
 
 class TestDerivedSeeds:
@@ -46,6 +58,16 @@ class TestRunScenario:
                     "models/target_report.json", "models/surrogate_report.json"):
             assert (cell / rel).is_file(), rel
         assert not list(cell.rglob("*.tmp"))  # write-then-rename left no temp files
+
+    def test_timings_cover_every_stage_and_are_written_last(self, small_run):
+        timings = small_run["cell"] / "timings.json"
+        doc = json.loads(timings.read_text())
+        assert set(doc["stage_seconds"]) == {"generate", "train-target", "train-surrogate",
+                                             "train-mia", "evaluate", "persist"}
+        assert sum(doc["stage_seconds"].values()) <= doc["wall_seconds"]
+        last = timings.stat().st_mtime_ns
+        assert all(p.stat().st_mtime_ns <= last
+                   for p in small_run["cell"].rglob("*") if p.is_file())
 
     def test_confusion_json_carries_scenario_and_seed(self, small_run):
         doc = json.loads((small_run["cell"] / "confusion.json").read_text())
@@ -83,15 +105,16 @@ class TestRunScenario:
 
 
 class TestPersistenceFidelity:
-    def test_reload_reproduces_evaluation_numbers_exactly(self, small_run):
-        expected = harness.evaluation_numbers(small_run["report"])
-        recomputed = harness.reevaluate_artifacts(small_run["cell"])
+    @pytest.mark.parametrize("run", ["small_run", "staged_run"])
+    def test_reload_reproduces_evaluation_numbers_exactly(self, run, request):
+        run = request.getfixturevalue(run)
+        expected = harness.evaluation_numbers(run["report"])
+        recomputed = harness.reevaluate_artifacts(run["cell"])
         assert recomputed == expected
 
     def test_loaded_target_reproduces_test_accuracy(self, small_run):
         art = harness.load_artifacts(small_run["cell"])
-        provider_test = [p.provider_view for p in art["datasets"]["test_pairs"]]
-        acc = classify.classification_accuracy(art["target"], provider_test)
+        acc = classify.classification_accuracy(art["target"], art["datasets"].provider_test)
         assert acc == small_run["report"].target_report.test_accuracy
 
     def test_corrupted_report_names_file(self, small_run, tmp_path):

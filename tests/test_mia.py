@@ -27,7 +27,7 @@ def random_surrogate(seed=0):
 class TestMiaInput:
     def test_shape_and_posterior_tail(self, small_bundle, small_classifiers):
         surrogate = small_classifiers["surrogate"]
-        vec = mia.mia_input(small_bundle.member_eval[0], surrogate)
+        vec = mia.mia_inputs([small_bundle.member_eval[0]], surrogate)[0]
         assert vec.shape == (34,)
         assert abs(vec[32] + vec[33] - 1.0) < 1e-12
         feats = classify.sample_features(small_bundle.member_eval[0])
@@ -39,7 +39,7 @@ class TestMiaInput:
                             class_label=s.class_label, tx_id=s.tx_id,
                             member=False, view=s.view)
         surrogate = small_classifiers["surrogate"]
-        assert np.array_equal(mia.mia_input(s, surrogate), mia.mia_input(twin, surrogate))
+        assert np.array_equal(mia.mia_inputs([s], surrogate), mia.mia_inputs([twin], surrogate))
 
     def test_wrong_network_shape_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -115,12 +115,6 @@ class TestSplitMembership:
                                   allow_overlap=True)
         assert len(ds.members) == len(ds.nonmembers)
 
-    def test_train_fraction_validated(self, small_bundle):
-        with pytest.raises(InvalidConfigError):
-            mia.split_membership(small_bundle.member_eval,
-                                 small_bundle.nonmember_eval, seed=0,
-                                 train_fraction=1.0)
-
 
 class TestTrainMia:
     def test_identical_sets_drive_output_to_half(self, small_bundle):
@@ -167,16 +161,18 @@ class TestTrainMia:
 class TestInferMembership:
     def test_zero_model_is_fail_closed(self, small_bundle):
         surrogate = random_surrogate()
-        prob, decision = mia.infer_membership(zero_mia_model(), surrogate,
-                                              small_bundle.member_eval[0])
+        model = zero_mia_model()
+        prob = mia.membership_probabilities(model, surrogate, small_bundle.member_eval[:1])[0]
+        decision = bool(prob > model.decision_threshold)
         assert prob == 0.5 and decision is False
 
     def test_probability_strictly_inside_unit_interval(self, small_bundle):
         surrogate = random_surrogate(1)
         model = mia.MiaModel(network=init_network(mia.MIA_DIMS,
                                                   OutputHead.SIGMOID_SCALAR, 2))
-        for s in small_bundle.nonmember_eval[:30]:
-            prob, decision = mia.infer_membership(model, surrogate, s)
+        probs = mia.membership_probabilities(model, surrogate, small_bundle.nonmember_eval[:30])
+        for prob in probs:
+            decision = prob > model.decision_threshold
             assert 0.0 < prob < 1.0
             assert decision == (prob > 0.5)
 
@@ -228,40 +224,6 @@ class TestEvaluateMia:
         assert lines[0] == "real\\predicted,non-member,member"
         assert lines[1].startswith("non-member,0.9152")
         assert lines[2].startswith("member,0.1429")
-
-
-class TestNaiveLikelihoodMia:
-    def test_equal_densities_give_half_confidence(self):
-        decision, confidence = mia.naive_likelihood_mia(
-            lambda x: 0.25, lambda x: 0.25, 1.0)
-        assert confidence == 0.5 and decision is False
-
-    def test_three_to_one_ratio(self):
-        decision, confidence = mia.naive_likelihood_mia(
-            lambda x: 0.3, lambda x: 0.1, 0.0)
-        assert decision is True and abs(confidence - 0.75) < 1e-12
-
-    def test_zero_training_density_boundary(self):
-        decision, confidence = mia.naive_likelihood_mia(
-            lambda x: 0.0, lambda x: 0.2, 0.0)
-        assert decision is False and confidence == 0.0
-
-    def test_both_zero_undefined(self):
-        with pytest.raises(InvalidInputError):
-            mia.naive_likelihood_mia(lambda x: 0.0, lambda x: 0.0, 0.0)
-
-    def test_calibration_matches_density_comparison(self):
-        # two gaussians evaluated by hand formula; decision tracks the sign
-        def normal_pdf(mean, std):
-            return lambda x: math.exp(-0.5 * ((x - mean) / std) ** 2) / (
-                std * math.sqrt(2 * math.pi))
-
-        p_train = normal_pdf(1.0, 0.7)
-        p_general = normal_pdf(-0.5, 1.1)
-        for x in np.linspace(-4, 4, 81):
-            decision, confidence = mia.naive_likelihood_mia(p_train, p_general, x)
-            assert decision == (p_train(x) > p_general(x))
-            assert abs(confidence - p_train(x) / (p_train(x) + p_general(x))) < 1e-12
 
 
 class TestMiaModelPersistence:

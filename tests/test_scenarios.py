@@ -55,8 +55,14 @@ class TestConfigValidation:
                                                nonmember_eval=20))
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            small_config(seed=-1)
+        # booleans and non-integral numbers are rejected too, also from a document
+        for seed in (-1, True, 3.7):
+            with pytest.raises(InvalidConfigError):
+                small_config(seed=seed)
+            doc = config_to_document(small_config())
+            doc["seed"] = seed
+            with pytest.raises(InvalidConfigError, match="seed"):
+                config_from_document(doc)
 
     def test_empty_user_group_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -151,7 +157,8 @@ class TestGenerateScenarioData:
         assert sum(labels) == c.nonmember_eval // 2  # fresh authorized half
         assert all(s.view is Receiver.ADVERSARY for s in small_bundle.nonmember_eval)
         assert all(not s.member for s in small_bundle.nonmember_eval)
-        unauth_ids = {u.device.id for u in small_bundle.population.unauthorized_qpsk}
+        population = apply_scenario_constraints(small_bundle.config)
+        unauth_ids = {u.device.id for u in population.unauthorized_qpsk}
         assert {s.tx_id for s in small_bundle.nonmember_eval if s.class_label == 0} \
             <= unauth_ids
 
@@ -183,7 +190,8 @@ class TestGenerateScenarioData:
             assert np.array_equal(sa.powers, sb.powers)
         for sa, sb in zip(a.nonmember_eval, b.nonmember_eval):
             assert np.array_equal(sa.phases, sb.phases)
-        assert np.array_equal(a.member_indices, b.member_indices)
+        assert [s.features().tobytes() for s in a.member_eval] == \
+            [s.features().tobytes() for s in b.member_eval]
 
     def test_different_seeds_differ(self):
         a = generate_scenario_data(small_config(seed=5))
@@ -196,7 +204,7 @@ class TestGenerateScenarioData:
         from airmia.scenarios import Epoch, S_TRAIN_C1, _paired_sample, _sample_rng
 
         config = small_bundle.config
-        auth = small_bundle.population.authorized
+        auth = apply_scenario_constraints(config).authorized
         for index in (0, 7, len(small_bundle.train_pairs_class1) - 1):
             rng = _sample_rng(config.seed, S_TRAIN_C1, index)
             standalone = _paired_sample(auth[index % len(auth)], Epoch.TRAIN,

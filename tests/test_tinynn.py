@@ -12,7 +12,6 @@ from airmia.tinynn import (
     adam_step,
     backward,
     cross_entropy_loss,
-    forward,
     forward_batch,
     grad_check,
     init_network,
@@ -75,17 +74,20 @@ class TestInit:
 class TestForward:
     def test_zero_softmax_is_uniform(self):
         net = zero_network([8, 4, 2], OutputHead.SOFTMAX2)
-        assert forward(net, np.ones(8)).tolist() == [0.5, 0.5]
+        out, _ = forward_batch(net, np.ones((1, 8)))
+        assert out[0].tolist() == [0.5, 0.5]
 
     def test_zero_sigmoid_is_half(self):
         net = zero_network([8, 4, 1], OutputHead.SIGMOID_SCALAR)
-        assert forward(net, np.ones(8)) == 0.5
+        out, _ = forward_batch(net, np.ones((1, 8)))
+        assert out[0, 0] == 0.5
 
     def test_softmax_normalization_over_random_nets(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             net = random_small_net(rng, OutputHead.SOFTMAX2)
-            out = forward(net, rng.normal(size=net.input_dim))
+            batch, _ = forward_batch(net, rng.normal(size=net.input_dim)[None, :])
+            out = batch[0]
             assert abs(out.sum() - 1.0) < 1e-12
             assert (out >= 0).all()
 
@@ -93,13 +95,13 @@ class TestForward:
         net = init_network([4, 3, 1], OutputHead.SIGMOID_SCALAR, 5)
         for scale in (1, 1e3, 1e6):
             for sign in (-1, 1):
-                m = forward(net, sign * scale * np.ones(4))
-                assert 0.0 < m < 1.0
+                out, _ = forward_batch(net, sign * scale * np.ones((1, 4)))
+                assert 0.0 < out[0, 0] < 1.0
 
     def test_dimension_mismatch_rejected(self):
         net = init_network([8, 4, 2], OutputHead.SOFTMAX2, 0)
         with pytest.raises(InvalidInputError):
-            forward(net, np.ones(9))
+            forward_batch(net, np.ones((1, 9)))
 
 
 class TestCrossEntropy:
