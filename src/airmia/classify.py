@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArtifactError, InvalidConfigError, InvalidInputError
-from .rfsim import SignalSample
+from .rfsim import Pairs, Signals
 from .tinynn import (
     DenseNetwork,
     OutputHead,
@@ -34,19 +34,11 @@ CLASSIFIER_DIMS = [32, 100, 100, 100, 2]
 REPORT_FORMAT_VERSION = "1"
 
 
-def sample_features(sample: SignalSample) -> np.ndarray:
-    """Scaled 32-feature vector: phases / 2pi then powers / 10."""
-    return np.concatenate([sample.phases / PHASE_SCALE, sample.powers / POWER_SCALE])
-
-
-def features_matrix(samples) -> np.ndarray:
+def features_matrix(samples: Signals) -> np.ndarray:
+    """Scaled (n, 32) features: phases / 2pi then powers / 10, one row per sample."""
     if len(samples) == 0:
         raise InvalidInputError("empty sample list")
-    return np.stack([sample_features(s) for s in samples])
-
-
-def labels_vector(samples) -> np.ndarray:
-    return np.array([s.class_label for s in samples], dtype=int)
+    return np.concatenate([samples.phases / PHASE_SCALE, samples.powers / POWER_SCALE], axis=1)
 
 
 @dataclass
@@ -113,10 +105,8 @@ def predicted_labels(net: DenseNetwork, samples) -> np.ndarray:
     return (post[:, 1] > post[:, 0]).astype(int)
 
 
-def classification_accuracy(net: DenseNetwork, samples) -> float:
-    if len(samples) == 0:
-        raise InvalidInputError("cannot score an empty dataset")
-    return float(np.mean(predicted_labels(net, samples) == labels_vector(samples)))
+def classification_accuracy(net: DenseNetwork, samples: Signals) -> float:
+    return float(np.mean(predicted_labels(net, samples) == samples.class_label))
 
 
 def _check_balance(labels: np.ndarray, role: str) -> None:
@@ -126,10 +116,10 @@ def _check_balance(labels: np.ndarray, role: str) -> None:
             f"{role} training data class balance {frac:.3f} outside [0.45, 0.55]")
 
 
-def train_target(train_samples, test_samples, hyper: TrainHyper):
+def train_target(train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
     """Fit the provider's classifier; report held-out accuracy on test_samples."""
     x = features_matrix(train_samples)
-    y = labels_vector(train_samples)
+    y = train_samples.class_label
     _check_balance(y, "target")
     started = time.perf_counter()
     net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)
@@ -147,12 +137,12 @@ def train_target(train_samples, test_samples, hyper: TrainHyper):
     return net, report
 
 
-def observed_access_labels(pairs, target: DenseNetwork) -> np.ndarray:
+def observed_access_labels(pairs: Pairs, target: DenseNetwork) -> np.ndarray:
     """Labels as the adversary observes them: the target's grant decisions."""
-    return predicted_labels(target, [p.provider_view for p in pairs])
+    return predicted_labels(target, pairs.provider)
 
 
-def train_surrogate(pairs, target: DenseNetwork, test_samples, hyper: TrainHyper):
+def train_surrogate(pairs: Pairs, target: DenseNetwork, test_samples, hyper: TrainHyper):
     """Fit the adversary's stand-in classifier from observed access grants.
 
     Inputs are adversary-side views; labels come from the target's decision
@@ -161,13 +151,12 @@ def train_surrogate(pairs, target: DenseNetwork, test_samples, hyper: TrainHyper
     """
     y = observed_access_labels(pairs, target)
     _check_balance(y, "surrogate")
-    adversary_views = [p.adversary_view for p in pairs]
-    x = features_matrix(adversary_views)
+    x = features_matrix(pairs.adversary)
     started = time.perf_counter()
     net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)
     net, history = train_supervised(net, x, y, hyper)
     elapsed = time.perf_counter() - started
-    train_acc = float(np.mean(predicted_labels(net, adversary_views) == y))
+    train_acc = float(np.mean(predicted_labels(net, pairs.adversary) == y))
     report = ClassifierReport(
         role="surrogate",
         train_accuracy=train_acc,
@@ -180,17 +169,13 @@ def train_surrogate(pairs, target: DenseNetwork, test_samples, hyper: TrainHyper
     return net, report
 
 
-def paired_agreement(target: DenseNetwork, surrogate: DenseNetwork, pairs) -> float:
+def paired_agreement(target: DenseNetwork, surrogate: DenseNetwork, pairs: Pairs) -> float:
     """Fraction of paired observations where both classifiers issue one label."""
-    if len(pairs) == 0:
-        raise InvalidInputError("empty pair list")
-    t = predicted_labels(target, [p.provider_view for p in pairs])
-    s = predicted_labels(surrogate, [p.adversary_view for p in pairs])
+    t = predicted_labels(target, pairs.provider)
+    s = predicted_labels(surrogate, pairs.adversary)
     return float(np.mean(t == s))
 
 
-def grant_rate(net: DenseNetwork, samples) -> float:
+def grant_rate(net: DenseNetwork, samples: Signals) -> float:
     """Fraction of samples the classifier would grant access (class 1)."""
-    if len(samples) == 0:
-        raise InvalidInputError("empty sample list")
     return float(np.mean(predicted_labels(net, samples) == 1))

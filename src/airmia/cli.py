@@ -22,8 +22,6 @@ from .scenarios import Scenario
 
 OUT_DIR_ENV = "AIRMIA_OUT"
 
-_CLI_ONLY_KEYS = {"out_dir", "seeds"}
-
 
 def _load_config_document(path) -> dict:
     try:
@@ -59,14 +57,18 @@ def _resolve(args, *, need_scenario: bool, need_seed: bool):
 
 
 def _parse_seeds(seeds) -> list[int]:
+    """Seeds from --seeds or a config document: integers or integer strings only."""
     if seeds is None:
         raise InvalidConfigError("no seeds given (use --seeds or a config file)")
     if isinstance(seeds, str):
-        seeds = [s for s in seeds.replace(",", " ").split() if s]
+        seeds = seeds.replace(",", " ").split()
     try:
-        return [int(s) for s in seeds]
+        seeds = [int(s) if isinstance(s, str) else s for s in seeds]
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"seeds must be integers: {exc}") from exc
+    if any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
+        raise InvalidConfigError(f"seeds must be integers, got {seeds!r}")
+    return seeds
 
 
 def format_confusion(confusion: mia.ConfusionMatrix) -> str:

@@ -197,10 +197,16 @@ def save_artifacts(out_dir, bundle: DataBundle, target, surrogate, mia_model,
 
 
 def load_datasets(cell, config: ScenarioConfig) -> DataBundle:
+    """Read the dataset CSVs; each must hold the rows config implies."""
     directory = Path(cell) / "datasets"
-    return DataBundle(config=config, **{
-        name: getattr(scenarios, f"read_{kind}_csv")(directory / f"{name}.csv")
-        for name, kind in _DATASETS})
+    expected, tables = scenarios.dataset_lengths(config), {}
+    for name, kind in _DATASETS:
+        path = directory / f"{name}.csv"
+        tables[name] = getattr(scenarios, f"read_{kind}_csv")(path)
+        if len(tables[name]) != expected[name]:
+            raise ArtifactError(f"{path}: {len(tables[name])} {kind}, config.json implies "
+                                f"{expected[name]}")
+    return DataBundle(config=config, **tables)
 
 
 def load_classifiers(cell):
@@ -232,9 +238,9 @@ def train_classifiers(bundle: DataBundle, hyper: PipelineHyper, stage=_stage):
     runs each step under its stage name.
     """
     target, target_report = stage("train-target", lambda: classify.train_target(
-        bundle.provider_train, bundle.provider_test, hyper.target))
+        bundle.provider_train, bundle.test_pairs.provider, hyper.target))
     surrogate, surrogate_report = stage("train-surrogate", lambda: classify.train_surrogate(
-        bundle.surrogate_pairs, target, bundle.adversary_test, hyper.surrogate))
+        bundle.surrogate_pairs, target, bundle.test_pairs.adversary, hyper.surrogate))
     return target, target_report, surrogate, surrogate_report
 
 
@@ -242,8 +248,8 @@ def _held_out_numbers(bundle: DataBundle, dataset: mia.MembershipDataset,
                       target, surrogate, model: mia.MiaModel):
     """(confusion, paired agreement, unauthorized grant rate) on held-out data."""
     confusion = mia.evaluate_mia(model, surrogate,
-                                 [dataset.members[i] for i in dataset.member_test_idx],
-                                 [dataset.nonmembers[i] for i in dataset.nonmember_test_idx])
+                                 dataset.members.take(dataset.member_test_idx),
+                                 dataset.nonmembers.take(dataset.nonmember_test_idx))
     agreement = classify.paired_agreement(target, surrogate, bundle.test_pairs)
     unauthorized_rate = classify.grant_rate(target, bundle.unauthorized_provider_views)
     return confusion, agreement, unauthorized_rate
@@ -312,7 +318,7 @@ ALL_SCENARIOS = (Scenario.FULL_STRONG, Scenario.SAME_POWER,
 def run_all(seeds, base_config: ScenarioConfig | None = None, out_dir=None,
             hyper_for=None) -> tuple[list[ScenarioReport], dict]:
     """Run all four scenarios for every seed; summarize medians and orderings."""
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)  # ScenarioConfig validates each one
     if len(seeds) < 3:
         raise InvalidConfigError(f"run-all needs at least 3 seeds, got {len(seeds)}")
     if base_config is None:
@@ -405,9 +411,8 @@ def reevaluate_artifacts(directory) -> dict:
     art = load_artifacts(directory)
     bundle, target, surrogate = art["datasets"], art["target"], art["surrogate"]
     observed = classify.observed_access_labels(bundle.surrogate_pairs, target)
-    surrogate_views = [p.adversary_view for p in bundle.surrogate_pairs]
     surrogate_train_acc = float(np.mean(
-        classify.predicted_labels(surrogate, surrogate_views) == observed))
+        classify.predicted_labels(surrogate, bundle.surrogate_pairs.adversary) == observed))
     dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
                                    derive_seed(bundle.config.seed, "split"))
     confusion, agreement, unauthorized_rate = _held_out_numbers(
@@ -415,10 +420,11 @@ def reevaluate_artifacts(directory) -> dict:
     return {
         "target_train_accuracy": classify.classification_accuracy(
             target, bundle.provider_train),
-        "target_test_accuracy": classify.classification_accuracy(target, bundle.provider_test),
+        "target_test_accuracy": classify.classification_accuracy(
+            target, bundle.test_pairs.provider),
         "surrogate_train_accuracy": surrogate_train_acc,
         "surrogate_test_accuracy": classify.classification_accuracy(
-            surrogate, bundle.adversary_test),
+            surrogate, bundle.test_pairs.adversary),
         "mia_accuracy": confusion.accuracy,
         "mia_counts": confusion.counts.tolist(),
         "paired_agreement": agreement,

@@ -32,6 +32,7 @@ from .tinynn import (
     network_from_document,
 )
 from .classify import features_matrix, posterior_matrix
+from .rfsim import Signals
 
 MIA_DIMS = [34, 100, 100, 1]
 MIA_INPUT_DIM = 34
@@ -53,7 +54,7 @@ class MiaModel:
                 f"got {self.network.input_dim}")
 
 
-def mia_inputs(samples, surrogate: DenseNetwork) -> np.ndarray:
+def mia_inputs(samples: Signals, surrogate: DenseNetwork) -> np.ndarray:
     """Scaled features concatenated with the surrogate's full posterior, per row."""
     feats = features_matrix(samples)
     post = posterior_matrix(surrogate, samples)
@@ -81,10 +82,10 @@ def empirical_gain(member_probs, nonmember_probs) -> float:
 
 @dataclass(frozen=True)
 class MembershipDataset:
-    """Member/nonmember sample pools with a train/test partition per side."""
+    """Member/nonmember sample tables with a train/test partition per side."""
 
-    members: list
-    nonmembers: list
+    members: Signals
+    nonmembers: Signals
     member_train_idx: np.ndarray
     member_test_idx: np.ndarray
     nonmember_train_idx: np.ndarray
@@ -101,12 +102,14 @@ class MembershipDataset:
                 raise InvalidConfigError(
                     f"{side} split is not a disjoint, exhaustive partition")
         if not self.allow_overlap:
-            seen = {s.features().tobytes() for s in self.members}
-            if any(s.features().tobytes() in seen for s in self.nonmembers):
+            seen = {row.tobytes() for row in np.hstack([self.members.phases,
+                                                        self.members.powers])}
+            if any(row.tobytes() in seen for row in np.hstack([self.nonmembers.phases,
+                                                               self.nonmembers.powers])):
                 raise InvalidConfigError("member and nonmember sets overlap")
 
 
-def split_membership(members, nonmembers, seed: int,
+def split_membership(members: Signals, nonmembers: Signals, seed: int,
                      allow_overlap: bool = False) -> MembershipDataset:
     """Shuffle each side and split it in half into train/test partitions."""
     rng = np.random.default_rng((seed, 0))
@@ -115,8 +118,8 @@ def split_membership(members, nonmembers, seed: int,
     n_mem_train = round(len(members) / 2)
     n_non_train = round(len(nonmembers) / 2)
     return MembershipDataset(
-        members=list(members),
-        nonmembers=list(nonmembers),
+        members=members,
+        nonmembers=nonmembers,
         member_train_idx=np.sort(mem_order[:n_mem_train]),
         member_test_idx=np.sort(mem_order[n_mem_train:]),
         nonmember_train_idx=np.sort(non_order[:n_non_train]),

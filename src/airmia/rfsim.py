@@ -4,7 +4,9 @@ The feature model is one (phase, power) pair per transmitted symbol and 16
 symbols per sample, so a full sample carries 32 features. Every transmission
 can be observed twice -- once at the service provider and once at the
 eavesdropping adversary -- through two different static links with
-independent noise draws.
+independent noise draws. Datasets are column tables: `Signals` holds one row
+per observation, `Pairs` the provider and adversary rows of the same
+transmissions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import InvalidInputError
 TWO_PI = 2.0 * math.pi
 
 SYMBOLS_PER_SAMPLE = 16
-FEATURES_PER_SAMPLE = 2 * SYMBOLS_PER_SAMPLE
 
 
 class Modulation(str, enum.Enum):
@@ -41,8 +42,6 @@ QPSK_GRAY_PHASES = {
     (1, 0): 7 * math.pi / 4,
 }
 BPSK_PHASES = {0: 0.0, 1: math.pi}
-
-BITS_PER_SYMBOL = {Modulation.BPSK: 1, Modulation.QPSK: 2}
 
 
 def wrap_phase(x):
@@ -105,45 +104,62 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class SignalSample:
-    """One received observation: per-symbol phases and powers plus metadata."""
+class Signals:
+    """Received observations as columns: one row per sample, one view per table.
+
+    phases and powers are (n, 16) per-symbol arrays; tx_id and class_label
+    hold one integer per row. Every row of a table was seen at the same
+    receiver and shares one membership ground-truth flag.
+    """
 
     phases: np.ndarray
     powers: np.ndarray
-    class_label: int
-    tx_id: int
-    member: bool
+    tx_id: np.ndarray
+    class_label: np.ndarray
     view: Receiver
+    member: bool = False
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        powers = np.asarray(self.powers, dtype=float)
-        if phases.ndim != 1 or phases.shape != powers.shape or phases.size == 0:
-            raise InvalidInputError("phases and powers must be equal-length 1-D vectors")
-        if self.class_label not in (0, 1):
-            raise InvalidInputError(f"class_label must be 0 or 1, got {self.class_label}")
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "powers", powers)
+        for name, dtype in (("phases", float), ("powers", float),
+                            ("tx_id", int), ("class_label", int)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         object.__setattr__(self, "view", Receiver(self.view))
+        object.__setattr__(self, "member", bool(self.member))
+        if self.phases.ndim != 2 or self.phases.shape[1] != SYMBOLS_PER_SAMPLE \
+                or self.powers.shape != self.phases.shape:
+            raise InvalidInputError(
+                f"phases and powers must both be (n, {SYMBOLS_PER_SAMPLE}) arrays")
+        if self.tx_id.shape != (len(self),) or self.class_label.shape != (len(self),):
+            raise InvalidInputError("tx_id and class_label need one entry per row")
+        if not np.isin(self.class_label, (0, 1)).all():
+            raise InvalidInputError("class_label must be 0 or 1")
 
-    def features(self) -> np.ndarray:
-        """All features in wire order: phases then powers."""
-        return np.concatenate([self.phases, self.powers])
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    def take(self, idx) -> "Signals":
+        """The rows at idx, in that order."""
+        return replace(self, phases=self.phases[idx], powers=self.powers[idx],
+                       tx_id=self.tx_id[idx], class_label=self.class_label[idx])
 
 
 @dataclass(frozen=True)
-class PairedObservation:
-    """Provider and adversary views of one transmitted bit sequence."""
+class Pairs:
+    """Provider and adversary views of the same transmissions, row for row."""
 
-    provider_view: SignalSample
-    adversary_view: SignalSample
+    provider: Signals
+    adversary: Signals
 
     def __post_init__(self):
-        p, a = self.provider_view, self.adversary_view
+        p, a = self.provider, self.adversary
         if p.view is not Receiver.PROVIDER or a.view is not Receiver.ADVERSARY:
-            raise InvalidInputError("paired observation views must be (provider, adversary)")
-        if p.tx_id != a.tx_id or p.class_label != a.class_label:
+            raise InvalidInputError("paired views must be (provider, adversary)")
+        if not (np.array_equal(p.tx_id, a.tx_id)
+                and np.array_equal(p.class_label, a.class_label)):
             raise InvalidInputError("paired views must share tx_id and class_label")
+
+    def __len__(self) -> int:
+        return len(self.provider)
 
 
 def modulate(bits, scheme: Modulation) -> np.ndarray:
@@ -173,8 +189,8 @@ def propagate(
     link: ChannelLink,
     noise: NoiseModel,
     rng: np.random.Generator,
-) -> SignalSample:
-    """Apply device and channel effects plus bounded noise to base phases.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply device and channel effects plus bounded noise: (phases, powers).
 
     phase_k = wrap(base_k + device phase + link phase + U[-e_phi, e_phi])
     power_k = max(0, gain * transmit_power + U[-e_p, e_p])
@@ -187,14 +203,7 @@ def propagate(
     power_noise = rng.uniform(-noise.power_bound, noise.power_bound, size=n)
     phases = wrap_phase(base + device.phase_shift_rad + link.phase_offset_rad + phase_noise)
     powers = np.maximum(0.0, link.gain * device.transmit_power + power_noise)
-    return SignalSample(
-        phases=phases,
-        powers=powers,
-        class_label=1 if device.authorized else 0,
-        tx_id=device.id,
-        member=False,
-        view=link.rx_id,
-    )
+    return phases, powers
 
 
 def transmit_paired(
@@ -204,14 +213,16 @@ def transmit_paired(
     bits,
     noise: NoiseModel,
     rng: np.random.Generator,
-) -> PairedObservation:
-    """Modulate once, then observe through both links with independent noise."""
+):
+    """Modulate once, then observe through both links with independent noise.
+
+    Returns the provider's (phases, powers), then the adversary's.
+    """
     if provider_link.tx_id != device.id or adversary_link.tx_id != device.id:
         raise InvalidInputError("both links must carry the transmitting device id")
     base = modulate(bits, device.modulation)
-    provider_view = propagate(base, device, provider_link, noise, rng)
-    adversary_view = propagate(base, device, adversary_link, noise, rng)
-    return PairedObservation(provider_view=provider_view, adversary_view=adversary_view)
+    return (propagate(base, device, provider_link, noise, rng),
+            propagate(base, device, adversary_link, noise, rng))
 
 
 def snr_to_received_power(snr_db: float, noise_floor: float) -> float:
@@ -220,14 +231,3 @@ def snr_to_received_power(snr_db: float, noise_floor: float) -> float:
         raise InvalidInputError(f"noise floor must be > 0, got {noise_floor}")
     return noise_floor * 10.0 ** (snr_db / 10.0)
 
-
-def mark_member(sample: SignalSample, member: bool = True) -> SignalSample:
-    """Copy of a sample with its membership ground-truth flag set."""
-    return replace(sample, member=member)
-
-
-def mark_member_pair(pair: PairedObservation, member: bool = True) -> PairedObservation:
-    return PairedObservation(
-        provider_view=mark_member(pair.provider_view, member),
-        adversary_view=mark_member(pair.adversary_view, member),
-    )

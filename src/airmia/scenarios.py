@@ -20,6 +20,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,11 +32,9 @@ from .rfsim import (
     DeviceProfile,
     Modulation,
     NoiseModel,
-    PairedObservation,
+    Pairs,
     Receiver,
-    SignalSample,
-    mark_member,
-    mark_member_pair,
+    Signals,
     modulate,
     propagate,
     snr_to_received_power,
@@ -139,10 +138,11 @@ class ScenarioConfig:
         c, u = self.counts, self.users
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("provider_train", "surrogate_train", "provider_test",
-                     "member_eval", "nonmember_eval"):
-            if getattr(c, name) <= 0:
-                raise InvalidConfigError(f"counts.{name} must be positive")
+        for group, values in (("counts", c), ("users", u)):  # every user group is non-empty
+            for name, value in vars(values).items():
+                if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                    raise InvalidConfigError(
+                        f"{group}.{name} must be a positive integer, got {value!r}")
         for name in ("provider_train", "surrogate_train", "provider_test", "nonmember_eval"):
             if getattr(c, name) % 2 != 0:
                 raise InvalidConfigError(
@@ -150,8 +150,6 @@ class ScenarioConfig:
         if c.member_eval > c.provider_train // 2:
             raise InvalidConfigError(
                 "counts.member_eval cannot exceed the class-1 training count")
-        if min(u.authorized, u.other_bpsk, u.unauthorized_qpsk) < 1:
-            raise InvalidConfigError("every user group needs at least one user")
         if self.provider_snr_spread_db < 0 or self.adversary_snr_jitter_db < 0:
             raise InvalidConfigError("SNR spread and jitter must be >= 0")
         if self.drift.phase_bound_rad < 0:
@@ -367,28 +365,30 @@ class DataBundle:
     """Every dataset one scenario run needs, generated or loaded from CSV."""
 
     config: ScenarioConfig
-    provider_train: list[SignalSample]
-    train_pairs_class1: list[PairedObservation]
-    member_eval: list[SignalSample]
-    nonmember_eval: list[SignalSample]
-    surrogate_pairs: list[PairedObservation]
-    test_pairs: list[PairedObservation]
-    unauthorized_provider_views: list[SignalSample]
+    provider_train: Signals
+    train_pairs_class1: Pairs
+    member_eval: Signals
+    nonmember_eval: Signals
+    surrogate_pairs: Pairs
+    test_pairs: Pairs
+    unauthorized_provider_views: Signals
 
-    @property
-    def provider_test(self) -> list[SignalSample]:
-        return [p.provider_view for p in self.test_pairs]
 
-    @property
-    def adversary_test(self) -> list[SignalSample]:
-        return [p.adversary_view for p in self.test_pairs]
+def dataset_lengths(config: ScenarioConfig) -> dict:
+    """len() of each DataBundle table that config implies."""
+    c = config.counts
+    return {"provider_train": c.provider_train, "train_pairs_class1": c.provider_train // 2,
+            "member_eval": c.member_eval, "nonmember_eval": c.nonmember_eval,
+            "surrogate_pairs": c.surrogate_train, "test_pairs": c.provider_test,
+            "unauthorized_provider_views": c.nonmember_eval - c.nonmember_eval // 2}
 
 
 def _sample_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, stream, index))
 
 
-def _paired_sample(user: UserChannels, epoch: Epoch, noise, rng) -> PairedObservation:
+def _paired_sample(user: UserChannels, epoch: Epoch, noise, rng):
+    """(provider, adversary) observations of one transmission, each (phases, powers)."""
     return transmit_paired(
         user.device,
         user.link(Receiver.PROVIDER, epoch),
@@ -396,10 +396,24 @@ def _paired_sample(user: UserChannels, epoch: Epoch, noise, rng) -> PairedObserv
         PILOT_BITS[user.device.modulation], noise, rng)
 
 
-def _single_sample(user: UserChannels, rx: Receiver, epoch: Epoch, noise, rng) -> SignalSample:
-    bits = PILOT_BITS[user.device.modulation]
-    base = modulate(bits, user.device.modulation)
+def _single_sample(user: UserChannels, rx: Receiver, epoch: Epoch, noise, rng):
+    base = modulate(PILOT_BITS[user.device.modulation], user.device.modulation)
     return propagate(base, user.device, user.link(rx, epoch), noise, rng)
+
+
+def _signals(observations, users, view: Receiver, member: bool = False) -> Signals:
+    """Stack (phases, powers) observations, one per user in users, into a table."""
+    phases, powers = zip(*observations)
+    return Signals(phases=np.array(phases), powers=np.array(powers),
+                   tx_id=[u.device.id for u in users],
+                   class_label=[int(u.device.authorized) for u in users],
+                   view=view, member=member)
+
+
+def _pairs(observations, users, member: bool = False) -> Pairs:
+    return Pairs(
+        provider=_signals([p for p, _ in observations], users, Receiver.PROVIDER, member),
+        adversary=_signals([a for _, a in observations], users, Receiver.ADVERSARY, member))
 
 
 def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
@@ -413,80 +427,54 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     fresh paired transmissions at the collection epoch.
     """
     population = apply_scenario_constraints(config)
-    noise = config.noise
-    seed = config.seed
-    counts = config.counts
+    noise, seed, counts = config.noise, config.seed, config.counts
     auth = population.authorized
     others = population.other_bpsk
     unauth = population.unauthorized_qpsk
 
-    n_class1 = counts.provider_train // 2
-    n_class0 = counts.provider_train - n_class1
+    def cycle(users, n):
+        return [users[i % len(users)] for i in range(n)]
 
-    train_pairs = []
-    for i in range(n_class1):
-        rng = _sample_rng(seed, S_TRAIN_C1, i)
-        pair = _paired_sample(auth[i % len(auth)], Epoch.TRAIN, noise, rng)
-        train_pairs.append(mark_member_pair(pair))
-    provider_train = [p.provider_view for p in train_pairs]
-    for i in range(n_class0):
-        rng = _sample_rng(seed, S_TRAIN_C0, i)
-        sample = _single_sample(others[i % len(others)], Receiver.PROVIDER,
-                                Epoch.TRAIN, noise, rng)
-        provider_train.append(mark_member(sample))
+    def draw(sample, users, stream, *where):
+        """One observation per user, the i-th on substream (seed, stream, i)."""
+        return [sample(user, *where, noise, _sample_rng(seed, stream, i))
+                for i, user in enumerate(users)]
+
+    def fresh_pairs(stream, n):
+        """Half authorized, then half other users, at the collection epoch."""
+        users = cycle(auth, n // 2) + cycle(others, n - n // 2)
+        return _pairs(draw(_paired_sample, users, stream, Epoch.TEST), users)
+
+    n_class1 = counts.provider_train // 2
+    class1 = cycle(auth, n_class1)
+    class0 = cycle(others, counts.provider_train - n_class1)
+    class1_obs = draw(_paired_sample, class1, S_TRAIN_C1, Epoch.TRAIN)
+    class0_obs = draw(_single_sample, class0, S_TRAIN_C0, Receiver.PROVIDER, Epoch.TRAIN)
+    train_pairs = _pairs(class1_obs, class1, member=True)
 
     choice_rng = np.random.default_rng((seed, S_MEMBER_CHOICE))
     member_indices = np.sort(choice_rng.permutation(n_class1)[:counts.member_eval])
-    member_eval = [train_pairs[int(j)].adversary_view for j in member_indices]
 
-    nonmember_eval = []
-    unauthorized_provider_views = []
     n_fresh_auth = counts.nonmember_eval // 2
-    for i in range(n_fresh_auth):
-        rng = _sample_rng(seed, S_NONMEMBER_AUTH, i)
-        nonmember_eval.append(_single_sample(auth[i % len(auth)], Receiver.ADVERSARY,
-                                             Epoch.TEST, noise, rng))
-    for i in range(counts.nonmember_eval - n_fresh_auth):
-        rng = _sample_rng(seed, S_NONMEMBER_UNAUTH, i)
-        pair = _paired_sample(unauth[i % len(unauth)], Epoch.TEST, noise, rng)
-        nonmember_eval.append(pair.adversary_view)
-        unauthorized_provider_views.append(pair.provider_view)
+    fresh_auth = cycle(auth, n_fresh_auth)
+    mimics = cycle(unauth, counts.nonmember_eval - n_fresh_auth)
+    fresh_obs = draw(_single_sample, fresh_auth, S_NONMEMBER_AUTH, Receiver.ADVERSARY,
+                     Epoch.TEST)
+    mimic_obs = draw(_paired_sample, mimics, S_NONMEMBER_UNAUTH, Epoch.TEST)
 
-    surrogate_pairs = []
-    n_surr1 = counts.surrogate_train // 2
-    for i in range(counts.surrogate_train):
-        rng = _sample_rng(seed, S_SURROGATE, i)
-        user = auth[i % len(auth)] if i < n_surr1 else others[(i - n_surr1) % len(others)]
-        surrogate_pairs.append(_paired_sample(user, Epoch.TEST, noise, rng))
-
-    test_pairs = []
-    n_test1 = counts.provider_test // 2
-    for i in range(counts.provider_test):
-        rng = _sample_rng(seed, S_TEST, i)
-        user = auth[i % len(auth)] if i < n_test1 else others[(i - n_test1) % len(others)]
-        test_pairs.append(_paired_sample(user, Epoch.TEST, noise, rng))
-
-    bundle = DataBundle(
+    return DataBundle(
         config=config,
-        provider_train=provider_train,
+        provider_train=_signals([p for p, _ in class1_obs] + class0_obs, class1 + class0,
+                                Receiver.PROVIDER, member=True),
         train_pairs_class1=train_pairs,
-        member_eval=member_eval,
-        nonmember_eval=nonmember_eval,
-        surrogate_pairs=surrogate_pairs,
-        test_pairs=test_pairs,
-        unauthorized_provider_views=unauthorized_provider_views,
+        member_eval=train_pairs.adversary.take(member_indices),
+        nonmember_eval=_signals(fresh_obs + [a for _, a in mimic_obs], fresh_auth + mimics,
+                                Receiver.ADVERSARY),
+        surrogate_pairs=fresh_pairs(S_SURROGATE, counts.surrogate_train),
+        test_pairs=fresh_pairs(S_TEST, counts.provider_test),
+        unauthorized_provider_views=_signals([p for p, _ in mimic_obs], mimics,
+                                             Receiver.PROVIDER),
     )
-    _validate_bundle(bundle)
-    return bundle
-
-
-def _validate_bundle(bundle: DataBundle) -> None:
-    for sample in bundle.provider_train + bundle.member_eval + bundle.nonmember_eval:
-        if sample.phases.size != SYMBOLS_PER_SAMPLE:
-            raise InvalidConfigError("generated sample does not carry 32 features")
-    labels = [s.class_label for s in bundle.provider_train]
-    if sum(labels) != bundle.config.counts.provider_train // 2:
-        raise InvalidConfigError("provider training data is not half class 1")
 
 
 # ---------------------------------------------------------------------------
@@ -500,79 +488,93 @@ CSV_HEADER = (
 )
 
 
-def _sample_row(sample_id: int, s: SignalSample) -> list[str]:
-    return (
-        [str(sample_id), str(s.tx_id), str(s.class_label), str(int(s.member)), s.view.value]
-        + [f"{p:.9f}" for p in s.phases]
-        + [repr(float(p)) for p in s.powers]
-    )
+def _rows(signals: Signals):
+    """CSV rows of a table; sample_id is the row position.
+
+    Values come from .tolist() columns, so csv.writer prints each float with
+    repr, the shortest string that reads back to the same float.
+    """
+    view, member = signals.view.value, int(signals.member)
+    for i, (tx_id, label, phases, powers) in enumerate(zip(
+            signals.tx_id.tolist(), signals.class_label.tolist(),
+            signals.phases.tolist(), signals.powers.tolist())):
+        yield [i, tx_id, label, member, view, *[f"{p:.9f}" for p in phases], *powers]
 
 
-def write_samples_csv(samples, path) -> None:
-    """Export samples, one row each; sample_id is the list position."""
+def write_samples_csv(samples: Signals, path) -> None:
+    """Export a table, one row per sample."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i, s in enumerate(samples):
-            writer.writerow(_sample_row(i, s))
+        writer.writerows(_rows(samples))
 
 
-def write_pairs_csv(pairs, path) -> None:
-    """Export paired observations, two rows per pair sharing a sample_id."""
+def write_pairs_csv(pairs: Pairs, path) -> None:
+    """Export paired observations: provider row, then adversary row, sharing a sample_id."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i, pair in enumerate(pairs):
-            writer.writerow(_sample_row(i, pair.provider_view))
-            writer.writerow(_sample_row(i, pair.adversary_view))
+        writer.writerows(chain.from_iterable(zip(_rows(pairs.provider), _rows(pairs.adversary))))
 
 
 def _parse_rows(path):
+    """Parse a dataset CSV once into columns: (ints, values, views).
+
+    ints is the (n, 4) block sample_id, tx_id, class, member; values the
+    (n, 32) phases then powers; views the (n,) view names.
+    """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
+            if next(reader, None) != CSV_HEADER:
                 raise ArtifactError(f"{path}: unexpected CSV header")
             rows = list(reader)
     except OSError as exc:
         raise ArtifactError(f"cannot read dataset {path}: {exc}") from exc
-    n = SYMBOLS_PER_SAMPLE
-    parsed = []
-    for row in rows:
-        if len(row) != len(CSV_HEADER):
-            raise ArtifactError(f"{path}: malformed row of {len(row)} fields")
-        try:
-            sample = SignalSample(
-                phases=np.array([float(v) for v in row[5:5 + n]]),
-                powers=np.array([float(v) for v in row[5 + n:5 + 2 * n]]),
-                class_label=int(row[2]),
-                tx_id=int(row[1]),
-                member=bool(int(row[3])),
-                view=Receiver(row[4]),
-            )
-        except (ValueError, InvalidInputError) as exc:
-            raise ArtifactError(f"{path}: malformed row ({exc})") from exc
-        parsed.append((int(row[0]), sample))
-    return parsed
+    if not rows:
+        raise ArtifactError(f"{path}: dataset has no rows")
+    if any(len(row) != len(CSV_HEADER) for row in rows):
+        raise ArtifactError(f"{path}: malformed row, not {len(CSV_HEADER)} fields")
+    n, width = len(rows), 2 * SYMBOLS_PER_SAMPLE
+    try:
+        ints = np.array([row[:4] for row in rows], dtype=int)
+        values = np.fromiter(map(float, chain.from_iterable(row[5:] for row in rows)),
+                             dtype=float, count=n * width).reshape(n, width)
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: malformed row ({exc})") from exc
+    return ints, values, np.array([row[4] for row in rows])
 
 
-def read_samples_csv(path) -> list[SignalSample]:
-    return [s for _, s in _parse_rows(path)]
+def _table(path, columns, rows=slice(None)) -> Signals:
+    """The selected rows as Signals; they must share one view and one member flag."""
+    ints, values, views = (column[rows] for column in columns)
+    members, view = np.unique(ints[:, 3]), np.unique(views)
+    if len(members) != 1 or len(view) != 1:
+        raise ArtifactError(f"{path}: rows mix views or member flags")
+    try:
+        return Signals(phases=values[:, :SYMBOLS_PER_SAMPLE],
+                       powers=values[:, SYMBOLS_PER_SAMPLE:],
+                       tx_id=ints[:, 1], class_label=ints[:, 2],
+                       view=Receiver(view[0]), member=bool(members[0]))
+    except (ValueError, InvalidInputError) as exc:
+        raise ArtifactError(f"{path}: malformed rows ({exc})") from exc
 
 
-def read_pairs_csv(path) -> list[PairedObservation]:
-    parsed = _parse_rows(path)
-    if len(parsed) % 2 != 0:
-        raise ArtifactError(f"{path}: paired dataset has an odd row count")
-    pairs = []
-    for k in range(0, len(parsed), 2):
-        (id_a, first), (id_b, second) = parsed[k], parsed[k + 1]
-        if id_a != id_b or first.view is not Receiver.PROVIDER \
-                or second.view is not Receiver.ADVERSARY:
-            raise ArtifactError(f"{path}: rows {k},{k + 1} do not form a provider/adversary pair")
-        pairs.append(PairedObservation(provider_view=first, adversary_view=second))
-    return pairs
+def read_samples_csv(path) -> Signals:
+    return _table(path, _parse_rows(path))
+
+
+def read_pairs_csv(path) -> Pairs:
+    """Even rows are the provider views, odd rows the adversary views."""
+    columns = _parse_rows(path)
+    sample_ids = columns[0][:, 0]
+    if len(sample_ids) % 2 != 0 or not np.array_equal(sample_ids[0::2], sample_ids[1::2]):
+        raise ArtifactError(f"{path}: rows do not form provider/adversary pairs")
+    try:
+        return Pairs(provider=_table(path, columns, slice(0, None, 2)),
+                     adversary=_table(path, columns, slice(1, None, 2)))
+    except InvalidInputError as exc:
+        raise ArtifactError(f"{path}: rows do not form pairs ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

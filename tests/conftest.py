@@ -57,9 +57,10 @@ def small_classifiers(small_bundle):
     config = small_bundle.config
     hyper = small_hyper(config)
     target, target_report = classify.train_target(
-        small_bundle.provider_train, small_bundle.provider_test, hyper.target)
+        small_bundle.provider_train, small_bundle.test_pairs.provider, hyper.target)
     surrogate, surrogate_report = classify.train_surrogate(
-        small_bundle.surrogate_pairs, target, small_bundle.adversary_test, hyper.surrogate)
+        small_bundle.surrogate_pairs, target, small_bundle.test_pairs.adversary,
+        hyper.surrogate)
     return {"target": target, "target_report": target_report,
             "surrogate": surrogate, "surrogate_report": surrogate_report,
             "hyper": hyper}

@@ -119,17 +119,17 @@ def test_criterion_10_null_attack_control():
     for seed in (101, 102, 103, 104, 105):
         config = scenarios.ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=seed)
         bundle = scenarios.generate_scenario_data(config)
-        pool = [p.adversary_view for p in bundle.train_pairs_class1]
+        pool = bundle.train_pairs_class1.adversary
         order = np.random.default_rng((seed, 99)).permutation(len(pool))
-        members = [pool[i] for i in order[:1000]]
-        nonmembers = [pool[i] for i in order[1000:2000]]
+        members = pool.take(order[:1000])
+        nonmembers = pool.take(order[1000:2000])
         # fixed random feature map; both sets come from one distribution
         surrogate = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, seed)
         ds = mia.split_membership(members, nonmembers, seed=seed, allow_overlap=True)
         model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=200, seed=seed))
         cm = mia.evaluate_mia(model, surrogate,
-                              [ds.members[i] for i in ds.member_test_idx],
-                              [ds.nonmembers[i] for i in ds.nonmember_test_idx])
+                              ds.members.take(ds.member_test_idx),
+                              ds.nonmembers.take(ds.nonmember_test_idx))
         accuracies.append(cm.accuracy)
     ok = all(0.45 <= a <= 0.55 for a in accuracies)
     _criterion(10, ok, "null-attack accuracies "

@@ -6,15 +6,14 @@ import pytest
 
 from airmia import classify
 from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
-from airmia.rfsim import Receiver, SignalSample
+from airmia.rfsim import Pairs, Receiver, Signals
 from airmia.tinynn import PHASE_SCALE, POWER_SCALE, OutputHead, TrainHyper, init_network
 
 
-def synthetic_sample(rng, label=0):
-    return SignalSample(phases=rng.uniform(0, PHASE_SCALE, 16),
-                        powers=rng.uniform(0, 20, 16),
-                        class_label=label, tx_id=label, member=False,
-                        view=Receiver.PROVIDER)
+def synthetic_samples(rng, labels):
+    return Signals(phases=rng.uniform(0, PHASE_SCALE, (len(labels), 16)),
+                   powers=rng.uniform(0, 20, (len(labels), 16)),
+                   tx_id=labels, class_label=labels, view=Receiver.PROVIDER)
 
 
 def zero_classifier():
@@ -26,54 +25,55 @@ def zero_classifier():
 
 class TestFeatures:
     def test_scaling(self, small_bundle):
-        s = small_bundle.provider_train[0]
-        feats = classify.sample_features(s)
-        assert np.array_equal(feats[:16], s.phases / PHASE_SCALE)
-        assert np.array_equal(feats[16:], s.powers / POWER_SCALE)
+        s = small_bundle.provider_train
+        feats = classify.features_matrix(s)
+        assert feats.shape == (len(s), 32)
+        assert np.array_equal(feats[:, :16], s.phases / PHASE_SCALE)
+        assert np.array_equal(feats[:, 16:], s.powers / POWER_SCALE)
 
-    def test_empty_list_rejected(self):
+    def test_empty_list_rejected(self, small_bundle):
         with pytest.raises(InvalidInputError):
-            classify.features_matrix([])
+            classify.features_matrix(small_bundle.provider_train.take([]))
 
 
 class TestPredict:
     def test_zero_network_ties_deny_service(self):
         rng = np.random.default_rng(0)
         net = zero_classifier()
-        sample = synthetic_sample(rng)
-        assert classify.posterior_matrix(net, [sample]).tolist() == [[0.5, 0.5]]
-        assert classify.predicted_labels(net, [sample]).tolist() == [0]
+        sample = synthetic_samples(rng, [0])
+        assert classify.posterior_matrix(net, sample).tolist() == [[0.5, 0.5]]
+        assert classify.predicted_labels(net, sample).tolist() == [0]
 
     def test_posterior_sums_to_one(self, small_bundle, small_classifiers):
         post = classify.posterior_matrix(small_classifiers["target"],
-                                         small_bundle.provider_test[:50])
+                                         small_bundle.test_pairs.provider.take(np.s_[:50]))
         assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestAccuracy:
     def test_single_correct_sample(self, small_bundle, small_classifiers):
         target = small_classifiers["target"]
-        sample = small_bundle.provider_train[0]
-        if classify.predicted_labels(target, [sample])[0] == sample.class_label:
-            assert classify.classification_accuracy(target, [sample]) == 1.0
+        sample = small_bundle.provider_train.take([0])
+        if classify.predicted_labels(target, sample)[0] == sample.class_label[0]:
+            assert classify.classification_accuracy(target, sample) == 1.0
 
-    def test_empty_dataset_rejected(self, small_classifiers):
+    def test_empty_dataset_rejected(self, small_bundle, small_classifiers):
         with pytest.raises(InvalidInputError):
-            classify.classification_accuracy(small_classifiers["target"], [])
+            classify.classification_accuracy(small_classifiers["target"],
+                                             small_bundle.provider_train.take([]))
 
     def test_flipped_labels_complement(self, small_bundle, small_classifiers):
         # exact identity: acc(flipped) = 1 - acc(original) for binary argmax
         target = small_classifiers["target"]
-        samples = small_bundle.provider_test[:400]
+        samples = small_bundle.test_pairs.provider.take(np.s_[:400])
         acc = classify.classification_accuracy(target, samples)
-        flipped = [dataclasses.replace(s, class_label=1 - s.class_label) for s in samples]
+        flipped = dataclasses.replace(samples, class_label=1 - samples.class_label)
         assert classify.classification_accuracy(target, flipped) == 1.0 - acc
 
     def test_random_labels_score_near_half(self):
         # features carry no label information, so any fixed net sits near 0.5
         rng = np.random.default_rng(5)
-        samples = [synthetic_sample(rng, label=int(rng.integers(0, 2)))
-                   for _ in range(10000)]
+        samples = synthetic_samples(rng, rng.integers(0, 2, size=10000))
         net = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 12)
         acc = classify.classification_accuracy(net, samples)
         assert 0.45 < acc < 0.55
@@ -81,10 +81,12 @@ class TestAccuracy:
 
 class TestTraining:
     def test_target_balance_precondition(self, small_bundle):
-        biased = [s for s in small_bundle.provider_train if s.class_label == 1]
-        biased += small_bundle.provider_train[:40]
+        train = small_bundle.provider_train
+        biased = train.take(np.concatenate([np.flatnonzero(train.class_label == 1),
+                                            np.arange(40)]))
         with pytest.raises(InvalidConfigError):
-            classify.train_target(biased, small_bundle.provider_test, TrainHyper(epochs=1))
+            classify.train_target(biased, small_bundle.test_pairs.provider,
+                                  TrainHyper(epochs=1))
 
     def test_reports_on_small_bundle(self, small_bundle, small_classifiers):
         t_rep = small_classifiers["target_report"]
@@ -104,7 +106,7 @@ class TestTraining:
     def test_same_seed_identical_report(self, small_bundle, small_classifiers):
         hyper = small_classifiers["hyper"]
         net, rep = classify.train_target(small_bundle.provider_train,
-                                         small_bundle.provider_test, hyper.target)
+                                         small_bundle.test_pairs.provider, hyper.target)
         first = small_classifiers["target_report"]
         assert rep.train_accuracy == first.train_accuracy
         assert rep.test_accuracy == first.test_accuracy
@@ -121,9 +123,11 @@ class TestTraining:
                                               small_classifiers["surrogate"],
                                               small_bundle.test_pairs)
         assert 0.0 <= agreement <= 1.0
+        test = small_bundle.test_pairs
+        empty = Pairs(provider=test.provider.take([]), adversary=test.adversary.take([]))
         with pytest.raises(InvalidInputError):
             classify.paired_agreement(small_classifiers["target"],
-                                      small_classifiers["surrogate"], [])
+                                      small_classifiers["surrogate"], empty)
 
 
 class TestReportPersistence:

@@ -69,6 +69,27 @@ class TestUsageErrors:
         assert dispatch(["run-all", "--config", str(config_file),
                          "--seeds", "1,2"]) == 2
 
+    @pytest.mark.parametrize("seeds", [[1.5, 2.7, 3.2], [True, 2, 3]])
+    def test_run_all_rejects_non_integer_seeds(self, tmp_path, seeds, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", lambda config, **kw: ran.append(config))
+        doc = config_to_document(small_config())
+        doc["seeds"] = seeds
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["run-all", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "seeds" in capsys.readouterr().err and ran == []
+
+    @pytest.mark.parametrize("group,field", [("counts", "provider_train"),
+                                             ("users", "authorized")])
+    def test_float_counts_are_config_errors(self, tmp_path, group, field, capsys):
+        doc = config_to_document(small_config())
+        doc[group][field] = float(doc[group][field])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["gen", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{group}.{field}" in capsys.readouterr().err
+
 
 class TestStagedPipeline:
     def test_gen_then_train_then_attack(self, config_file, tmp_path, capsys):
@@ -106,6 +127,15 @@ class TestStagedPipeline:
         for command in ("train", "run"):
             assert dispatch([command, *argv]) == 1
             assert "train-surrogate" in capsys.readouterr().err
+
+    def test_attack_on_truncated_dataset_fails(self, config_file, tmp_path, capsys):
+        argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert dispatch(["gen", *argv]) == 0
+        assert dispatch(["train", *argv]) == 0
+        path = tmp_path / "out" / "full-strong" / "41" / "datasets" / "member_eval.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        assert dispatch(["attack", *argv]) == 1
+        assert "member_eval.csv" in capsys.readouterr().err
 
     def test_train_without_datasets_fails(self, config_file, tmp_path, capsys):
         assert dispatch(["train", "--config", str(config_file),

@@ -114,7 +114,8 @@ class TestPersistenceFidelity:
 
     def test_loaded_target_reproduces_test_accuracy(self, small_run):
         art = harness.load_artifacts(small_run["cell"])
-        acc = classify.classification_accuracy(art["target"], art["datasets"].provider_test)
+        acc = classify.classification_accuracy(art["target"],
+                                               art["datasets"].test_pairs.provider)
         assert acc == small_run["report"].target_report.test_accuracy
 
     def test_corrupted_report_names_file(self, small_run, tmp_path):
@@ -140,6 +141,16 @@ class TestPersistenceFidelity:
         (cell_copy / "datasets" / "member_eval.csv").unlink()
         with pytest.raises(ArtifactError, match="member_eval.csv"):
             harness.load_artifacts(cell_copy)
+
+    def test_dataset_row_count_checked_against_config(self, small_run, tmp_path):
+        import shutil
+
+        cell_copy = tmp_path / "cell"
+        shutil.copytree(small_run["cell"], cell_copy)
+        path = cell_copy / "datasets" / "member_eval.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ArtifactError, match="member_eval.csv"):
+            harness.reevaluate_artifacts(cell_copy)
 
 
 class TestRunAll:

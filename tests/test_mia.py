@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from airmia import classify, mia
 from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
-from airmia.rfsim import SignalSample
 from airmia.tinynn import OutputHead, TrainHyper, init_network
 from conftest import small_config
 
@@ -27,19 +27,19 @@ def random_surrogate(seed=0):
 class TestMiaInput:
     def test_shape_and_posterior_tail(self, small_bundle, small_classifiers):
         surrogate = small_classifiers["surrogate"]
-        vec = mia.mia_inputs([small_bundle.member_eval[0]], surrogate)[0]
+        first = small_bundle.member_eval.take([0])
+        vec = mia.mia_inputs(first, surrogate)[0]
         assert vec.shape == (34,)
         assert abs(vec[32] + vec[33] - 1.0) < 1e-12
-        feats = classify.sample_features(small_bundle.member_eval[0])
+        feats = classify.features_matrix(first)[0]
         assert np.array_equal(vec[:32], feats)
 
     def test_identical_features_identical_input(self, small_bundle, small_classifiers):
-        s = small_bundle.member_eval[0]
-        twin = SignalSample(phases=s.phases.copy(), powers=s.powers.copy(),
-                            class_label=s.class_label, tx_id=s.tx_id,
-                            member=False, view=s.view)
+        s = small_bundle.member_eval.take([0])
+        twin = dataclasses.replace(s, phases=s.phases.copy(), powers=s.powers.copy(),
+                                   member=False)
         surrogate = small_classifiers["surrogate"]
-        assert np.array_equal(mia.mia_inputs([s], surrogate), mia.mia_inputs([twin], surrogate))
+        assert np.array_equal(mia.mia_inputs(s, surrogate), mia.mia_inputs(twin, surrogate))
 
     def test_wrong_network_shape_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -120,11 +120,11 @@ class TestTrainMia:
     def test_identical_sets_drive_output_to_half(self, small_bundle):
         # D^A = D-bar^A: the same finite set on both sides, so every training
         # sample carries both targets and the optimum is the constant 0.5
-        members = small_bundle.member_eval[:40]
+        members = small_bundle.member_eval.take(np.s_[:40])
         surrogate = random_surrogate(3)
         idx = np.arange(len(members))
         ds = mia.MembershipDataset(
-            members=members, nonmembers=list(members),
+            members=members, nonmembers=members,
             member_train_idx=idx[:20], member_test_idx=idx[20:],
             nonmember_train_idx=idx[:20].copy(), nonmember_test_idx=idx[20:].copy(),
             allow_overlap=True)
@@ -162,7 +162,7 @@ class TestInferMembership:
     def test_zero_model_is_fail_closed(self, small_bundle):
         surrogate = random_surrogate()
         model = zero_mia_model()
-        prob = mia.membership_probabilities(model, surrogate, small_bundle.member_eval[:1])[0]
+        prob = mia.membership_probabilities(model, surrogate, small_bundle.member_eval.take([0]))[0]
         decision = bool(prob > model.decision_threshold)
         assert prob == 0.5 and decision is False
 
@@ -170,7 +170,7 @@ class TestInferMembership:
         surrogate = random_surrogate(1)
         model = mia.MiaModel(network=init_network(mia.MIA_DIMS,
                                                   OutputHead.SIGMOID_SCALAR, 2))
-        probs = mia.membership_probabilities(model, surrogate, small_bundle.nonmember_eval[:30])
+        probs = mia.membership_probabilities(model, surrogate, small_bundle.nonmember_eval.take(np.s_[:30]))
         for prob in probs:
             decision = prob > model.decision_threshold
             assert 0.0 < prob < 1.0
@@ -181,8 +181,8 @@ class TestEvaluateMia:
     def test_counts_from_known_decisions(self, small_bundle):
         model = zero_mia_model()  # prob 0.5 everywhere -> everything non-member
         surrogate = random_surrogate()
-        cm = mia.evaluate_mia(model, surrogate, small_bundle.member_eval[:10],
-                              small_bundle.nonmember_eval[:20])
+        cm = mia.evaluate_mia(model, surrogate, small_bundle.member_eval.take(np.s_[:10]),
+                              small_bundle.nonmember_eval.take(np.s_[:20]))
         assert cm.counts.tolist() == [[20, 0], [10, 0]]
         assert cm.accuracy == 0.5
 
@@ -192,15 +192,16 @@ class TestEvaluateMia:
         model, _ = mia.train_mia(small_classifiers["surrogate"], ds,
                                  TrainHyper(epochs=20, seed=1))
         cm = mia.evaluate_mia(model, small_classifiers["surrogate"],
-                              [ds.members[i] for i in ds.member_test_idx],
-                              [ds.nonmembers[i] for i in ds.nonmember_test_idx])
+                              ds.members.take(ds.member_test_idx),
+                              ds.nonmembers.take(ds.nonmember_test_idx))
         assert np.abs(cm.rates.sum(axis=1) - 1.0).max() < 1e-9
         assert cm.accuracy == (cm.rates[0, 0] + cm.rates[1, 1]) / 2
 
     def test_empty_partition_rejected(self, small_bundle):
         with pytest.raises(InvalidInputError):
             mia.evaluate_mia(zero_mia_model(), random_surrogate(),
-                             [], small_bundle.nonmember_eval[:5])
+                             small_bundle.member_eval.take([]),
+                             small_bundle.nonmember_eval.take(np.s_[:5]))
 
     def test_reference_rate_arithmetic(self):
         assert abs(mia.accuracy_from_rates(REFERENCE_STRONG_RATES) - 0.8862) <= 5e-5
@@ -257,12 +258,12 @@ class TestNullAttackSmallScale:
 
         config = small_config(seed=21)
         bundle = generate_scenario_data(config)
-        pool = [p.adversary_view for p in bundle.train_pairs_class1]
-        members, nonmembers = pool[:60], pool[60:120]
+        pool = bundle.train_pairs_class1.adversary
+        members, nonmembers = pool.take(np.s_[:60]), pool.take(np.s_[60:120])
         surrogate = random_surrogate(8)
         ds = mia.split_membership(members, nonmembers, seed=8, allow_overlap=True)
         model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=60, seed=8))
         cm = mia.evaluate_mia(model, surrogate,
-                              [ds.members[i] for i in ds.member_test_idx],
-                              [ds.nonmembers[i] for i in ds.nonmember_test_idx])
+                              ds.members.take(ds.member_test_idx),
+                              ds.nonmembers.take(ds.nonmember_test_idx))
         assert 0.3 <= cm.accuracy <= 0.7  # small-n sanity; full check in acceptance

@@ -9,9 +9,9 @@ from airmia.rfsim import (
     DeviceProfile,
     Modulation,
     NoiseModel,
-    PairedObservation,
+    Pairs,
     Receiver,
-    SignalSample,
+    Signals,
     TWO_PI,
     circular_distance,
     modulate,
@@ -33,6 +33,12 @@ def make_link(tx_id=1, rx=Receiver.PROVIDER, gain=1.0, phase=0.0):
 
 
 NO_NOISE = NoiseModel(phase_bound_rad=0.0, power_bound=0.0, noise_floor=1.0)
+
+
+def make_signals(rng, n, tx_id=None, class_label=None, view=Receiver.PROVIDER):
+    return Signals(phases=rng.uniform(0, TWO_PI, (n, 16)), powers=rng.uniform(0, 20, (n, 16)),
+                   tx_id=[1] * n if tx_id is None else tx_id,
+                   class_label=[0] * n if class_label is None else class_label, view=view)
 
 
 class TestModulate:
@@ -71,40 +77,35 @@ class TestPropagate:
         device = make_device(phase=0.0, power=1.0)
         link = make_link(gain=10.0)
         rng = np.random.default_rng(0)
-        s = propagate([PI / 4], device, link, NO_NOISE, rng)
-        assert s.phases.tolist() == [PI / 4]
-        assert s.powers.tolist() == [10.0]
+        phases, powers = propagate([PI / 4], device, link, NO_NOISE, rng)
+        assert phases.tolist() == [PI / 4]
+        assert powers.tolist() == [10.0]
 
     def test_additive_phase_composition(self):
         device = make_device(phase=1.0)
         link = make_link(phase=0.5)
-        s = propagate([0.0], device, link, NO_NOISE, np.random.default_rng(0))
-        assert s.phases.tolist() == [1.5]
+        phases, _ = propagate([0.0], device, link, NO_NOISE, np.random.default_rng(0))
+        assert phases.tolist() == [1.5]
 
     def test_noise_stays_within_bounds(self):
         # Monte-Carlo bound check: 700 x 16 symbols > 1e4 draws
         device = make_device(phase=2.0)
         link = make_link(gain=10.0, phase=1.0)
         noise = NoiseModel(phase_bound_rad=0.1, power_bound=1.0)
-        clean = propagate(np.zeros(16), device, link, NO_NOISE, np.random.default_rng(0))
+        clean, _ = propagate(np.zeros(16), device, link, NO_NOISE, np.random.default_rng(0))
         for i in range(700):
-            s = propagate(np.zeros(16), device, link, noise, np.random.default_rng(i))
-            assert circular_distance(s.phases, clean.phases).max() <= 0.1 + 1e-12
-            assert np.abs(s.powers - 10.0).max() <= 1.0 + 1e-12
+            phases, powers = propagate(np.zeros(16), device, link, noise,
+                                       np.random.default_rng(i))
+            assert circular_distance(phases, clean).max() <= 0.1 + 1e-12
+            assert np.abs(powers - 10.0).max() <= 1.0 + 1e-12
 
     def test_powers_clipped_at_zero(self):
         device = make_device(power=0.5)
         link = make_link(gain=1.0)
         noise = NoiseModel(phase_bound_rad=0.0, power_bound=1.0)
         for i in range(50):
-            s = propagate(np.zeros(16), device, link, noise, np.random.default_rng(i))
-            assert (s.powers >= 0.0).all()
-
-    def test_label_follows_authorization(self):
-        rng = np.random.default_rng(0)
-        auth = propagate([0.0], make_device(authorized=True), make_link(), NO_NOISE, rng)
-        other = propagate([0.0], make_device(authorized=False), make_link(), NO_NOISE, rng)
-        assert auth.class_label == 1 and other.class_label == 0
+            _, powers = propagate(np.zeros(16), device, link, noise, np.random.default_rng(i))
+            assert (powers >= 0.0).all()
 
     def test_mismatched_tx_id_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -117,7 +118,7 @@ class TestPropagate:
         noise = NoiseModel()
         a = propagate(np.zeros(16), device, link, noise, np.random.default_rng(42))
         b = propagate(np.zeros(16), device, link, noise, np.random.default_rng(42))
-        assert np.array_equal(a.phases, b.phases) and np.array_equal(a.powers, b.powers)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestPhaseWrapInvariance:
@@ -137,9 +138,9 @@ class TestPhaseWrapInvariance:
                 link = make_link(gain=2.0, phase=lk_phase)
                 samples.append(propagate(base, device, link, noise,
                                          np.random.default_rng(trial)))
-            for other in samples[1:]:
-                assert circular_distance(samples[0].phases, other.phases).max() < 5e-15
-                assert np.array_equal(samples[0].powers, other.powers)
+            for phases, powers in samples[1:]:
+                assert circular_distance(samples[0][0], phases).max() < 5e-15
+                assert np.array_equal(samples[0][1], powers)
 
 
 class TestTransmitPaired:
@@ -147,29 +148,19 @@ class TestTransmitPaired:
         device = make_device(phase=0.3)
         pl = make_link(rx=Receiver.PROVIDER, gain=2.0, phase=1.0)
         al = make_link(rx=Receiver.ADVERSARY, gain=2.0, phase=1.0)
-        pair = transmit_paired(device, pl, al, [0, 0] * 16, NO_NOISE,
-                               np.random.default_rng(0))
-        assert np.array_equal(pair.provider_view.phases, pair.adversary_view.phases)
-        assert np.array_equal(pair.provider_view.powers, pair.adversary_view.powers)
+        provider, adversary = transmit_paired(device, pl, al, [0, 0] * 16, NO_NOISE,
+                                              np.random.default_rng(0))
+        assert np.array_equal(provider[0], adversary[0])
+        assert np.array_equal(provider[1], adversary[1])
 
     def test_per_link_power_scaling(self):
         device = make_device(power=2.0)
         pl = make_link(rx=Receiver.PROVIDER, gain=5.0)
         al = make_link(rx=Receiver.ADVERSARY, gain=2.5)
-        pair = transmit_paired(device, pl, al, [0, 1] * 16, NO_NOISE,
-                               np.random.default_rng(0))
-        assert (pair.provider_view.powers == 10.0).all()
-        assert (pair.adversary_view.powers == 5.0).all()
-
-    def test_views_share_label_and_tx(self):
-        device = make_device(uid=9, authorized=False)
-        pair = transmit_paired(device, make_link(tx_id=9),
-                               make_link(tx_id=9, rx=Receiver.ADVERSARY),
-                               [0, 1] * 16, NoiseModel(), np.random.default_rng(3))
-        assert pair.provider_view.tx_id == pair.adversary_view.tx_id == 9
-        assert pair.provider_view.class_label == pair.adversary_view.class_label == 0
-        assert pair.provider_view.view is Receiver.PROVIDER
-        assert pair.adversary_view.view is Receiver.ADVERSARY
+        (_, provider_powers), (_, adversary_powers) = transmit_paired(
+            device, pl, al, [0, 1] * 16, NO_NOISE, np.random.default_rng(0))
+        assert (provider_powers == 10.0).all()
+        assert (adversary_powers == 5.0).all()
 
     def test_independent_noise_differs_in_every_feature(self):
         device = make_device()
@@ -177,10 +168,10 @@ class TestTransmitPaired:
         al = make_link(rx=Receiver.ADVERSARY, gain=2.0)
         noise = NoiseModel(phase_bound_rad=0.1, power_bound=1.0)
         for seed in range(20):
-            pair = transmit_paired(device, pl, al, [0, 0] * 16, noise,
-                                   np.random.default_rng(seed))
-            assert (pair.provider_view.phases != pair.adversary_view.phases).all()
-            assert (pair.provider_view.powers != pair.adversary_view.powers).all()
+            provider, adversary = transmit_paired(device, pl, al, [0, 0] * 16, noise,
+                                                  np.random.default_rng(seed))
+            assert (provider[0] != adversary[0]).all()
+            assert (provider[1] != adversary[1]).all()
 
     def test_mismatched_ids_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -222,24 +213,45 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             NoiseModel(noise_floor=0.0)
 
-    def test_sample_feature_layout(self):
-        s = SignalSample(phases=np.linspace(0, 1, 16), powers=np.ones(16),
-                         class_label=1, tx_id=3, member=False, view=Receiver.PROVIDER)
-        feats = s.features()
-        assert feats.shape == (32,)
-        assert np.array_equal(feats[:16], s.phases)
-        assert np.array_equal(feats[16:], s.powers)
-
-    def test_sample_validation(self):
-        with pytest.raises(InvalidInputError):
-            SignalSample(phases=np.zeros(4), powers=np.zeros(5), class_label=0,
-                         tx_id=1, member=False, view=Receiver.PROVIDER)
-        with pytest.raises(InvalidInputError):
-            SignalSample(phases=np.zeros(4), powers=np.zeros(4), class_label=2,
-                         tx_id=1, member=False, view=Receiver.PROVIDER)
-
-    def test_paired_observation_validation(self):
+    def test_signals_columns_and_take(self):
         rng = np.random.default_rng(0)
-        provider = propagate([0.0], make_device(), make_link(), NO_NOISE, rng)
-        with pytest.raises(InvalidInputError):
-            PairedObservation(provider_view=provider, adversary_view=provider)
+        s = make_signals(rng, 5, tx_id=[1, 2, 3, 4, 5], class_label=[1, 0, 1, 0, 1])
+        assert len(s) == 5 and s.phases.shape == s.powers.shape == (5, 16)
+        assert s.view is Receiver.PROVIDER and s.member is False
+        picked = s.take([4, 0])
+        assert picked.tx_id.tolist() == [5, 1] and picked.class_label.tolist() == [1, 1]
+        assert np.array_equal(picked.phases, s.phases[[4, 0]])
+        assert np.array_equal(picked.powers, s.powers[[4, 0]])
+        assert picked.view is s.view and picked.member == s.member
+
+    def test_signals_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError):  # phases and powers disagree
+            Signals(phases=np.zeros((2, 16)), powers=np.zeros((2, 15)), tx_id=[1, 1],
+                    class_label=[0, 0], view=Receiver.PROVIDER)
+        with pytest.raises(InvalidInputError):  # not 16 symbols per sample
+            Signals(phases=np.zeros((2, 4)), powers=np.zeros((2, 4)), tx_id=[1, 1],
+                    class_label=[0, 0], view=Receiver.PROVIDER)
+        with pytest.raises(InvalidInputError):  # not 0/1 labels
+            make_signals(rng, 2, class_label=[0, 2])
+        with pytest.raises(InvalidInputError):  # one label per row
+            make_signals(rng, 2, class_label=[0])
+        with pytest.raises(ValueError):
+            make_signals(rng, 2, view="elsewhere")
+
+    def test_pairs_validation(self):
+        rng = np.random.default_rng(0)
+        provider = make_signals(rng, 3, tx_id=[1, 2, 3], class_label=[1, 0, 1])
+        adversary = make_signals(rng, 3, tx_id=[1, 2, 3], class_label=[1, 0, 1],
+                                 view=Receiver.ADVERSARY)
+        assert len(Pairs(provider=provider, adversary=adversary)) == 3
+        with pytest.raises(InvalidInputError):  # views swapped
+            Pairs(provider=provider, adversary=provider)
+        with pytest.raises(InvalidInputError):  # tx ids disagree
+            Pairs(provider=provider, adversary=make_signals(
+                rng, 3, tx_id=[1, 2, 4], class_label=[1, 0, 1], view=Receiver.ADVERSARY))
+        with pytest.raises(InvalidInputError):  # labels disagree
+            Pairs(provider=provider, adversary=make_signals(
+                rng, 3, tx_id=[1, 2, 3], class_label=[1, 1, 1], view=Receiver.ADVERSARY))
+        with pytest.raises(InvalidInputError):  # row counts disagree
+            Pairs(provider=provider, adversary=adversary.take([0, 1]))

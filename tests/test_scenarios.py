@@ -27,7 +27,7 @@ from conftest import small_config
 
 
 def features_set(samples):
-    return {s.features().tobytes() for s in samples}
+    return {row.tobytes() for row in np.hstack([samples.phases, samples.powers])}
 
 
 class TestConfigValidation:
@@ -39,6 +39,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("provider_train", 0), ("provider_train", 241),
         ("surrogate_train", 3), ("nonmember_eval", 7), ("provider_test", -2),
+        ("provider_train", 240.0), ("member_eval", True),
     ])
     def test_bad_counts_rejected(self, field, value):
         counts = {"provider_train": 240, "surrogate_train": 120,
@@ -67,6 +68,23 @@ class TestConfigValidation:
     def test_empty_user_group_rejected(self):
         with pytest.raises(InvalidConfigError):
             small_config(users=UserCounts(authorized=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("authorized", 3.0), ("other_bpsk", True), ("unauthorized_qpsk", "3"),
+    ])
+    def test_non_integer_user_counts_rejected(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"users.{field}"):
+            small_config(users=UserCounts(**{field: value}))
+
+    @pytest.mark.parametrize("group,field,value", [
+        ("counts", "provider_train", 240.0), ("users", "authorized", 3.0),
+        ("counts", "member_eval", False),
+    ])
+    def test_non_integer_counts_rejected_from_document(self, group, field, value):
+        doc = config_to_document(small_config())
+        doc[group][field] = value
+        with pytest.raises(InvalidConfigError, match=f"{group}.{field}"):
+            config_from_document(doc)
 
     def test_same_power_with_weak_authorized_snr_contradicts(self):
         with pytest.raises(InvalidConfigError):
@@ -149,33 +167,60 @@ class TestGenerateScenarioData:
         assert len(small_bundle.nonmember_eval) == c.nonmember_eval
         assert len(small_bundle.surrogate_pairs) == c.surrogate_train
         assert len(small_bundle.test_pairs) == c.provider_test
-        assert sum(s.class_label for s in small_bundle.provider_train) == c.provider_train // 2
+        assert small_bundle.provider_train.class_label.sum() == c.provider_train // 2
+
+    def test_class_one_exactly_on_authorized_rows(self, small_bundle):
+        population = apply_scenario_constraints(small_bundle.config)
+        authorized = [u.device.id for u in population.authorized]
+        devices = {u.device.id for u in population.authorized + population.other_bpsk
+                   + population.unauthorized_qpsk}
+        b = small_bundle
+        for table in (b.provider_train, b.member_eval, b.nonmember_eval,
+                      b.unauthorized_provider_views, b.train_pairs_class1.provider,
+                      b.surrogate_pairs.adversary, b.test_pairs.provider):
+            assert set(table.tx_id.tolist()) <= devices
+            assert np.array_equal(table.class_label, np.isin(table.tx_id, authorized))
+
+    def test_tables_carry_their_view_and_member_flag(self, small_bundle):
+        b = small_bundle
+        for table, view, member in (
+                (b.provider_train, Receiver.PROVIDER, True),
+                (b.member_eval, Receiver.ADVERSARY, True),
+                (b.nonmember_eval, Receiver.ADVERSARY, False),
+                (b.unauthorized_provider_views, Receiver.PROVIDER, False)):
+            assert table.view is view and table.member is member
+        for pairs, member in ((b.train_pairs_class1, True), (b.surrogate_pairs, False),
+                              (b.test_pairs, False)):
+            assert pairs.provider.view is Receiver.PROVIDER
+            assert pairs.adversary.view is Receiver.ADVERSARY
+            assert pairs.provider.member is pairs.adversary.member is member
+            assert np.array_equal(pairs.provider.tx_id, pairs.adversary.tx_id)
+            assert np.array_equal(pairs.provider.class_label, pairs.adversary.class_label)
 
     def test_nonmember_composition_half_and_half(self, small_bundle):
         c = small_bundle.config.counts
-        labels = [s.class_label for s in small_bundle.nonmember_eval]
-        assert sum(labels) == c.nonmember_eval // 2  # fresh authorized half
-        assert all(s.view is Receiver.ADVERSARY for s in small_bundle.nonmember_eval)
-        assert all(not s.member for s in small_bundle.nonmember_eval)
+        labels = small_bundle.nonmember_eval.class_label
+        assert labels.sum() == c.nonmember_eval // 2  # fresh authorized half
+        assert small_bundle.nonmember_eval.view is Receiver.ADVERSARY
+        assert not small_bundle.nonmember_eval.member
         population = apply_scenario_constraints(small_bundle.config)
         unauth_ids = {u.device.id for u in population.unauthorized_qpsk}
-        assert {s.tx_id for s in small_bundle.nonmember_eval if s.class_label == 0} \
-            <= unauth_ids
+        assert set(small_bundle.nonmember_eval.tx_id[labels == 0].tolist()) <= unauth_ids
 
     def test_member_eval_are_training_adversary_views(self, small_bundle):
-        train_adv = features_set(p.adversary_view for p in small_bundle.train_pairs_class1)
+        train_adv = features_set(small_bundle.train_pairs_class1.adversary)
         assert features_set(small_bundle.member_eval) <= train_adv
-        assert all(s.member and s.view is Receiver.ADVERSARY
-                   for s in small_bundle.member_eval)
+        assert small_bundle.member_eval.member
+        assert small_bundle.member_eval.view is Receiver.ADVERSARY
 
     def test_member_and_nonmember_sets_disjoint(self, small_bundle):
         assert not (features_set(small_bundle.member_eval)
                     & features_set(small_bundle.nonmember_eval))
 
     def test_every_sample_has_32_features(self, small_bundle):
-        pools = (small_bundle.provider_train + small_bundle.member_eval
-                 + small_bundle.nonmember_eval + small_bundle.provider_test)
-        assert all(s.features().shape == (32,) for s in pools)
+        for table in (small_bundle.provider_train, small_bundle.member_eval,
+                      small_bundle.nonmember_eval, small_bundle.test_pairs.provider):
+            assert np.hstack([table.phases, table.powers]).shape == (len(table), 32)
 
     def test_pilot_bit_patterns_cover_constellations(self):
         assert len(PILOT_BITS[Modulation.BPSK]) == 16
@@ -185,18 +230,16 @@ class TestGenerateScenarioData:
     def test_same_seed_bit_identical(self):
         a = generate_scenario_data(small_config(seed=5))
         b = generate_scenario_data(small_config(seed=5))
-        for sa, sb in zip(a.provider_train, b.provider_train):
-            assert np.array_equal(sa.phases, sb.phases)
-            assert np.array_equal(sa.powers, sb.powers)
-        for sa, sb in zip(a.nonmember_eval, b.nonmember_eval):
-            assert np.array_equal(sa.phases, sb.phases)
-        assert [s.features().tobytes() for s in a.member_eval] == \
-            [s.features().tobytes() for s in b.member_eval]
+        assert np.array_equal(a.provider_train.phases, b.provider_train.phases)
+        assert np.array_equal(a.provider_train.powers, b.provider_train.powers)
+        assert np.array_equal(a.nonmember_eval.phases, b.nonmember_eval.phases)
+        assert a.member_eval.phases.tobytes() == b.member_eval.phases.tobytes()
+        assert a.member_eval.powers.tobytes() == b.member_eval.powers.tobytes()
 
     def test_different_seeds_differ(self):
         a = generate_scenario_data(small_config(seed=5))
         b = generate_scenario_data(small_config(seed=6))
-        assert not np.array_equal(a.provider_train[0].phases, b.provider_train[0].phases)
+        assert not np.array_equal(a.provider_train.phases[0], b.provider_train.phases[0])
 
     def test_samples_reproducible_from_their_substream(self, small_bundle):
         # counter-based substreams: any sample can be regenerated standalone,
@@ -207,38 +250,38 @@ class TestGenerateScenarioData:
         auth = apply_scenario_constraints(config).authorized
         for index in (0, 7, len(small_bundle.train_pairs_class1) - 1):
             rng = _sample_rng(config.seed, S_TRAIN_C1, index)
-            standalone = _paired_sample(auth[index % len(auth)], Epoch.TRAIN,
-                                        config.noise, rng)
-            stored = small_bundle.train_pairs_class1[index]
-            assert np.array_equal(standalone.provider_view.phases,
-                                  stored.provider_view.phases)
-            assert np.array_equal(standalone.adversary_view.powers,
-                                  stored.adversary_view.powers)
+            (phases, _), (_, powers) = _paired_sample(auth[index % len(auth)], Epoch.TRAIN,
+                                                      config.noise, rng)
+            stored = small_bundle.train_pairs_class1
+            assert np.array_equal(phases, stored.provider.phases[index])
+            assert np.array_equal(powers, stored.adversary.powers[index])
 
 
 class TestCsvRoundTrip:
     def test_samples_round_trip_value_exact(self, small_bundle, tmp_path):
         path = tmp_path / "samples.csv"
-        write_samples_csv(small_bundle.member_eval, path)
-        loaded = read_samples_csv(path)
+        orig = small_bundle.member_eval
+        write_samples_csv(orig, path)
+        back = read_samples_csv(path)
         first = path.read_bytes()
-        write_samples_csv(loaded, path)
+        write_samples_csv(back, path)
         assert path.read_bytes() == first  # exact at printed precision
-        for orig, back in zip(small_bundle.member_eval, loaded):
-            assert np.abs(orig.phases - back.phases).max() < 5e-10  # 9 decimals
-            assert np.array_equal(orig.powers, back.powers)  # full precision
-            assert (orig.tx_id, orig.class_label, orig.member, orig.view) == \
-                (back.tx_id, back.class_label, back.member, back.view)
+        assert np.abs(orig.phases - back.phases).max() < 5e-10  # 9 decimals
+        assert np.array_equal(orig.powers, back.powers)  # full precision
+        assert np.array_equal(orig.tx_id, back.tx_id)
+        assert np.array_equal(orig.class_label, back.class_label)
+        assert (orig.member, orig.view) == (back.member, back.view)
 
     def test_pairs_round_trip(self, small_bundle, tmp_path):
         path = tmp_path / "pairs.csv"
-        write_pairs_csv(small_bundle.surrogate_pairs, path)
-        loaded = read_pairs_csv(path)
-        assert len(loaded) == len(small_bundle.surrogate_pairs)
-        for orig, back in zip(small_bundle.surrogate_pairs, loaded):
-            assert back.provider_view.view is Receiver.PROVIDER
-            assert orig.provider_view.tx_id == back.provider_view.tx_id
-            assert np.array_equal(orig.adversary_view.powers, back.adversary_view.powers)
+        orig = small_bundle.surrogate_pairs
+        write_pairs_csv(orig, path)
+        back = read_pairs_csv(path)
+        assert len(back) == len(orig)
+        assert back.provider.view is Receiver.PROVIDER
+        assert back.adversary.view is Receiver.ADVERSARY
+        assert np.array_equal(orig.provider.tx_id, back.provider.tx_id)
+        assert np.array_equal(orig.adversary.powers, back.adversary.powers)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -249,6 +292,36 @@ class TestCsvRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ArtifactError, match="absent.csv"):
             read_samples_csv(tmp_path / "absent.csv")
+
+    def test_header_without_rows_rejected(self, small_bundle, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        for read in (read_samples_csv, read_pairs_csv):
+            with pytest.raises(ArtifactError, match="empty.csv"):
+                read(path)
+
+    @pytest.mark.parametrize("column,value", [(3, "0"), (4, "provider")])
+    def test_mixed_member_flags_or_views_rejected(self, small_bundle, tmp_path,
+                                                  column, value):
+        path = tmp_path / "mixed.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ArtifactError, match="mixed.csv"):
+            read_samples_csv(path)
+
+    def test_pairs_in_wrong_order_rejected(self, small_bundle, tmp_path):
+        path = tmp_path / "swapped.csv"
+        write_pairs_csv(small_bundle.surrogate_pairs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("".join(lines))
+        with pytest.raises(ArtifactError, match="swapped.csv"):
+            read_pairs_csv(path)
 
 
 class TestConfigDocuments:

@@ -292,10 +292,10 @@ def moving_average(values, window=5):
 
 class TestTrainingTrend:
     def test_loss_moving_average_non_increasing_on_scenario_data(self, small_bundle):
-        from airmia.classify import features_matrix, labels_vector
+        from airmia.classify import features_matrix
 
         x = features_matrix(small_bundle.provider_train)
-        y = labels_vector(small_bundle.provider_train)
+        y = small_bundle.provider_train.class_label
         net = init_network([32, 100, 100, 100, 2], OutputHead.SOFTMAX2, 13)
         _, history = train_supervised(net, x, y, TrainHyper(epochs=40, seed=13))
         ma = moving_average(history)
