@@ -498,7 +498,7 @@ def _rows(signals: Signals):
     for i, (tx_id, label, phases, powers) in enumerate(zip(
             signals.tx_id.tolist(), signals.class_label.tolist(),
             signals.phases.tolist(), signals.powers.tolist())):
-        yield [i, tx_id, label, member, view, *[f"{p:.9f}" for p in phases], *powers]
+        yield [i, tx_id, label, member, view, *phases, *powers]
 
 
 def write_samples_csv(samples: Signals, path) -> None:

@@ -112,6 +112,14 @@ class TestPersistenceFidelity:
         recomputed = harness.reevaluate_artifacts(run["cell"])
         assert recomputed == expected
 
+    def test_staged_report_equals_run_report(self, staged_run, tmp_path):
+        # the staged commands train on CSV round trips of the datasets `run` uses
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_document(small_config(seed=19))))
+        assert cli.dispatch(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        run_report = (tmp_path / "full-strong" / "19" / "report.json").read_bytes()
+        assert run_report == (staged_run["cell"] / "report.json").read_bytes()
+
     def test_loaded_target_reproduces_test_accuracy(self, small_run):
         art = harness.load_artifacts(small_run["cell"])
         acc = classify.classification_accuracy(art["target"],

@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from airmia.errors import ArtifactError, InvalidConfigError
-from airmia.rfsim import Modulation, Receiver, snr_to_received_power
+from airmia.rfsim import TWO_PI, Modulation, Pairs, Receiver, Signals, snr_to_received_power
 from airmia.scenarios import (
     PILOT_BITS,
     DriftModel,
@@ -265,9 +270,9 @@ class TestCsvRoundTrip:
         back = read_samples_csv(path)
         first = path.read_bytes()
         write_samples_csv(back, path)
-        assert path.read_bytes() == first  # exact at printed precision
-        assert np.abs(orig.phases - back.phases).max() < 5e-10  # 9 decimals
-        assert np.array_equal(orig.powers, back.powers)  # full precision
+        assert path.read_bytes() == first
+        assert np.array_equal(orig.phases, back.phases)  # full precision
+        assert np.array_equal(orig.powers, back.powers)
         assert np.array_equal(orig.tx_id, back.tx_id)
         assert np.array_equal(orig.class_label, back.class_label)
         assert (orig.member, orig.view) == (back.member, back.view)
@@ -322,6 +327,64 @@ class TestCsvRoundTrip:
         path.write_text("".join(lines))
         with pytest.raises(ArtifactError, match="swapped.csv"):
             read_pairs_csv(path)
+
+
+@st.composite
+def signal_tables(draw, n=None, tx_id=None, class_label=None, view=None):
+    """Random Signals: phases in [0, 2pi), non-negative finite powers, 0/1 labels."""
+    n = draw(st.integers(1, 12)) if n is None else n
+    phase = st.floats(0.0, TWO_PI, exclude_max=True)
+    power = st.floats(min_value=0.0, allow_infinity=False)
+    return Signals(
+        phases=draw(arrays(float, (n, 16), elements=phase)),
+        powers=draw(arrays(float, (n, 16), elements=power)),
+        tx_id=draw(arrays(int, n, elements=st.integers(0, 2 ** 31))) if tx_id is None
+        else tx_id,
+        class_label=draw(arrays(int, n, elements=st.integers(0, 1))) if class_label is None
+        else class_label,
+        view=draw(st.sampled_from(Receiver)) if view is None else view,
+        member=draw(st.booleans()))
+
+
+@st.composite
+def pair_tables(draw):
+    provider = draw(signal_tables(view=Receiver.PROVIDER))
+    adversary = draw(signal_tables(n=len(provider), tx_id=provider.tx_id,
+                                   class_label=provider.class_label, view=Receiver.ADVERSARY))
+    return Pairs(provider=provider, adversary=adversary)
+
+
+def assert_same_table(a: Signals, b: Signals):
+    for column in ("phases", "powers", "tx_id", "class_label"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+    assert (a.view, a.member) == (b.view, b.member)
+
+
+class TestCsvProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(signal_tables())
+    def test_samples_round_trip_exactly(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            write_samples_csv(table, path)
+            first = path.read_bytes()
+            back = read_samples_csv(path)
+            assert_same_table(table, back)
+            write_samples_csv(back, path)
+            assert path.read_bytes() == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_tables())
+    def test_pairs_round_trip_exactly(self, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.csv"
+            write_pairs_csv(pairs, path)
+            first = path.read_bytes()
+            back = read_pairs_csv(path)
+            assert_same_table(pairs.provider, back.provider)
+            assert_same_table(pairs.adversary, back.adversary)
+            write_pairs_csv(back, path)
+            assert path.read_bytes() == first
 
 
 class TestConfigDocuments:
