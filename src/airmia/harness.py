@@ -318,21 +318,22 @@ ALL_SCENARIOS = (Scenario.FULL_STRONG, Scenario.SAME_POWER,
 def run_all(seeds, base_config: ScenarioConfig | None = None, out_dir=None,
             hyper_for=None) -> tuple[list[ScenarioReport], dict]:
     """Run all four scenarios for every seed; summarize medians and orderings."""
-    seeds = list(seeds)  # ScenarioConfig validates each one
+    seeds = list(seeds)
     if len(seeds) < 3:
         raise InvalidConfigError(f"run-all needs at least 3 seeds, got {len(seeds)}")
     if base_config is None:
         base_config = ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=seeds[0])
+    # Building every cell's config first validates each seed before any cell runs.
+    configs = [replace(base_config, scenario=scenario, seed=seed)
+               for scenario in ALL_SCENARIOS for seed in seeds]
     reports = []
-    for scenario in ALL_SCENARIOS:
-        for seed in seeds:
-            config = replace(base_config, scenario=scenario, seed=seed)
-            hyper = hyper_for(config) if hyper_for is not None else None
-            try:
-                reports.append(run_scenario(config, out_dir=out_dir, hyper=hyper))
-            except PipelineStageError as exc:
-                raise PipelineStageError(
-                    f"{scenario.value}/seed={seed}/{exc.stage}", exc.cause) from exc
+    for config in configs:
+        hyper = hyper_for(config) if hyper_for is not None else None
+        try:
+            reports.append(run_scenario(config, out_dir=out_dir, hyper=hyper))
+        except PipelineStageError as exc:
+            raise PipelineStageError(
+                f"{config.scenario.value}/seed={config.seed}/{exc.stage}", exc.cause) from exc
     summary = ordering_summary(reports)
     if out_dir is not None:
         write_json(Path(out_dir) / "ordering_summary.json", summary)

@@ -517,11 +517,12 @@ def write_pairs_csv(pairs: Pairs, path) -> None:
         writer.writerows(chain.from_iterable(zip(_rows(pairs.provider), _rows(pairs.adversary))))
 
 
-def _parse_rows(path):
+def _parse_rows(path, rows_per_id: int):
     """Parse a dataset CSV once into columns: (ints, values, views).
 
     ints is the (n, 4) block sample_id, tx_id, class, member; values the
-    (n, 32) phases then powers; views the (n,) view names.
+    (n, 32) phases then powers; views the (n,) view names. sample_id must
+    count up from 0, rows_per_id rows at a time.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -542,6 +543,8 @@ def _parse_rows(path):
                              dtype=float, count=n * width).reshape(n, width)
     except ValueError as exc:
         raise ArtifactError(f"{path}: malformed row ({exc})") from exc
+    if not np.array_equal(ints[:, 0], np.arange(n) // rows_per_id):
+        raise ArtifactError(f"{path}: sample_id does not count up from 0")
     return ints, values, np.array([row[4] for row in rows])
 
 
@@ -549,8 +552,8 @@ def _table(path, columns, rows=slice(None)) -> Signals:
     """The selected rows as Signals; they must share one view and one member flag."""
     ints, values, views = (column[rows] for column in columns)
     members, view = np.unique(ints[:, 3]), np.unique(views)
-    if len(members) != 1 or len(view) != 1:
-        raise ArtifactError(f"{path}: rows mix views or member flags")
+    if members.tolist() not in ([0], [1]) or len(view) != 1:
+        raise ArtifactError(f"{path}: rows mix views or member flags, or a flag is not 0/1")
     try:
         return Signals(phases=values[:, :SYMBOLS_PER_SAMPLE],
                        powers=values[:, SYMBOLS_PER_SAMPLE:],
@@ -561,15 +564,12 @@ def _table(path, columns, rows=slice(None)) -> Signals:
 
 
 def read_samples_csv(path) -> Signals:
-    return _table(path, _parse_rows(path))
+    return _table(path, _parse_rows(path, rows_per_id=1))
 
 
 def read_pairs_csv(path) -> Pairs:
     """Even rows are the provider views, odd rows the adversary views."""
-    columns = _parse_rows(path)
-    sample_ids = columns[0][:, 0]
-    if len(sample_ids) % 2 != 0 or not np.array_equal(sample_ids[0::2], sample_ids[1::2]):
-        raise ArtifactError(f"{path}: rows do not form provider/adversary pairs")
+    columns = _parse_rows(path, rows_per_id=2)
     try:
         return Pairs(provider=_table(path, columns, slice(0, None, 2)),
                      adversary=_table(path, columns, slice(1, None, 2)))

@@ -166,6 +166,13 @@ class TestRunAll:
         with pytest.raises(InvalidConfigError):
             harness.run_all(seeds=[1, 2])
 
+    def test_every_seed_validated_before_any_cell_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", lambda config, **kw: ran.append(config))
+        with pytest.raises(InvalidConfigError, match="seed"):
+            harness.run_all(seeds=[1, 2, 3.5])
+        assert ran == []
+
     def test_matrix_and_summary(self, tmp_path):
         reports, summary = harness.run_all(
             seeds=[31, 32, 33], base_config=small_config(),

@@ -213,7 +213,7 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             NoiseModel(noise_floor=0.0)
 
-    def test_signals_columns_and_take(self):
+    def test_sample_feature_layout(self):
         rng = np.random.default_rng(0)
         s = make_signals(rng, 5, tx_id=[1, 2, 3, 4, 5], class_label=[1, 0, 1, 0, 1])
         assert len(s) == 5 and s.phases.shape == s.powers.shape == (5, 16)
@@ -224,7 +224,7 @@ class TestTypes:
         assert np.array_equal(picked.powers, s.powers[[4, 0]])
         assert picked.view is s.view and picked.member == s.member
 
-    def test_signals_validation(self):
+    def test_sample_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):  # phases and powers disagree
             Signals(phases=np.zeros((2, 16)), powers=np.zeros((2, 15)), tx_id=[1, 1],
@@ -239,7 +239,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_signals(rng, 2, view="elsewhere")
 
-    def test_pairs_validation(self):
+    def test_paired_observation_validation(self):
         rng = np.random.default_rng(0)
         provider = make_signals(rng, 3, tx_id=[1, 2, 3], class_label=[1, 0, 1])
         adversary = make_signals(rng, 3, tx_id=[1, 2, 3], class_label=[1, 0, 1],

@@ -81,16 +81,6 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match=f"users.{field}"):
             small_config(users=UserCounts(**{field: value}))
 
-    @pytest.mark.parametrize("group,field,value", [
-        ("counts", "provider_train", 240.0), ("users", "authorized", 3.0),
-        ("counts", "member_eval", False),
-    ])
-    def test_non_integer_counts_rejected_from_document(self, group, field, value):
-        doc = config_to_document(small_config())
-        doc[group][field] = value
-        with pytest.raises(InvalidConfigError, match=f"{group}.{field}"):
-            config_from_document(doc)
-
     def test_same_power_with_weak_authorized_snr_contradicts(self):
         with pytest.raises(InvalidConfigError):
             small_config(scenario=Scenario.SAME_POWER, snr_authorized_db=3.0)
@@ -318,6 +308,30 @@ class TestCsvRoundTrip:
         path.write_text("".join(lines))
         with pytest.raises(ArtifactError, match="mixed.csv"):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("rows,column,value", [
+        (slice(1, None), 3, "2"),  # a member flag that is not 0/1
+        (slice(5, 6), 0, "7"),  # a sample_id out of sequence
+    ])
+    def test_member_flags_and_sample_ids_validated(self, small_bundle, tmp_path,
+                                                   rows, column, value):
+        path = tmp_path / "flags.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k in range(len(lines))[rows]:
+            fields = lines[k].split(",")
+            fields[column] = value
+            lines[k] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ArtifactError, match="flags.csv"):
+            read_samples_csv(path)
+
+    def test_odd_row_count_pairs_rejected(self, small_bundle, tmp_path):
+        path = tmp_path / "odd.csv"
+        write_pairs_csv(small_bundle.surrogate_pairs, path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ArtifactError, match="odd.csv"):
+            read_pairs_csv(path)
 
     def test_pairs_in_wrong_order_rejected(self, small_bundle, tmp_path):
         path = tmp_path / "swapped.csv"
