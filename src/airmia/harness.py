@@ -326,6 +326,8 @@ def run_all(seeds, base_config: ScenarioConfig | None = None, out_dir=None,
     # Building every cell's config first validates each seed before any cell runs.
     configs = [replace(base_config, scenario=scenario, seed=seed)
                for scenario in ALL_SCENARIOS for seed in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise InvalidConfigError(f"run-all seeds must be distinct, got {seeds}")
     reports = []
     for config in configs:
         hyper = hyper_for(config) if hyper_for is not None else None

@@ -133,6 +133,8 @@ class Signals:
             raise InvalidInputError("tx_id and class_label need one entry per row")
         if not np.isin(self.class_label, (0, 1)).all():
             raise InvalidInputError("class_label must be 0 or 1")
+        if not (np.isfinite(self.phases).all() and np.isfinite(self.powers).all()):
+            raise InvalidInputError("phases and powers must be finite")
 
     def __len__(self) -> int:
         return len(self.phases)

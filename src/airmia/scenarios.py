@@ -143,6 +143,15 @@ class ScenarioConfig:
                 if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                     raise InvalidConfigError(
                         f"{group}.{name} must be a positive integer, got {value!r}")
+        reals = {name: getattr(self, name) for name in (
+            "snr_authorized_db", "snr_others_db", "provider_snr_spread_db",
+            "adversary_snr_jitter_db")}
+        for group in ("noise", "drift", "mimic"):
+            reals.update({f"{group}.{name}": value
+                          for name, value in vars(getattr(self, group)).items()})
+        for name, value in reals.items():
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("provider_train", "surrogate_train", "provider_test", "nonmember_eval"):
             if getattr(c, name) % 2 != 0:
                 raise InvalidConfigError(

@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,71 +31,60 @@ SIGMOID_Z_CLIP = 30.0
 
 MODEL_FORMAT_VERSION = "1"
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv 1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class OutputHead(str, enum.Enum):
     SOFTMAX2 = "softmax2"
     SIGMOID_SCALAR = "sigmoid-scalar"
 
 
+def _layer_views(flat: np.ndarray, dims):
+    """Per-layer (fan_in, fan_out) weight and (fan_out,) bias views into a flat vector.
+
+    The vector holds each layer's weights (row-major) and then its biases,
+    layer by layer; parameters and gradients share this layout.
+    """
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 @dataclass
 class DenseNetwork:
     layer_dims: list[int]
-    weights: list[np.ndarray]  # per layer, shape (fan_in, fan_out)
-    biases: list[np.ndarray]  # per layer, shape (fan_out,)
+    params: np.ndarray  # every weight and bias in one float64 vector, see _layer_views
     output_head: OutputHead
+    weights: list[np.ndarray] = field(init=False, repr=False)  # views, (fan_in, fan_out)
+    biases: list[np.ndarray] = field(init=False, repr=False)  # views, (fan_out,)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
 
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (weights and biases per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
 
 @dataclass
 class AdamState:
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
     @classmethod
-    def for_network(cls, net: DenseNetwork, learning_rate: float = 1e-3,
-                    beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        params = net.parameter_arrays()
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            step_count=0,
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def for_network(cls, net: DenseNetwork, learning_rate: float = 1e-3):
+        return cls(first_moment=np.zeros_like(net.params),
+                   second_moment=np.zeros_like(net.params),
+                   step_count=0, learning_rate=learning_rate)
 
 
 @dataclass(frozen=True)
@@ -120,12 +109,12 @@ def init_network(layer_dims, output_head: OutputHead, seed: int) -> DenseNetwork
         raise InvalidInputError("softmax2 head requires output dim 2")
     if output_head is OutputHead.SIGMOID_SCALAR and dims[-1] != 1:
         raise InvalidInputError("sigmoid-scalar head requires output dim 1")
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    net = DenseNetwork(layer_dims=dims, params=np.zeros(size), output_head=output_head)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return DenseNetwork(layer_dims=dims, weights=weights, biases=biases, output_head=output_head)
+    for w in net.weights:
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return net
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -169,11 +158,12 @@ def cross_entropy_loss(posterior, label: int) -> float:
     return float(-np.log(max(posterior[label], PROB_FLOOR)))
 
 
-def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> Gradients:
+def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> np.ndarray:
     """Reverse-mode gradients given d(loss)/d(output) per batch row.
 
-    Returned gradients are sums over the batch; callers scale grad_output
-    for mean losses. ReLU subgradient at exactly 0 is taken as 0.
+    Returns one vector laid out like net.params. Gradients are sums over the
+    batch; callers scale grad_output for mean losses. ReLU subgradient at
+    exactly 0 is taken as 0.
     """
     activations, pre_acts = cache
     g_out = np.asarray(grad_output, dtype=float)
@@ -189,35 +179,30 @@ def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> Gradients:
         inside = (np.abs(z) < SIGMOID_Z_CLIP).astype(float)
         dz = g_out * out * (1.0 - out) * inside
 
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
+    grads = np.empty_like(net.params)
+    grads_w, grads_b = _layer_views(grads, net.layer_dims)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(activations[i].T, dz, out=grads_w[i])
+        np.sum(dz, axis=0, out=grads_b[i])
         if i > 0:
             da = dz @ net.weights[i].T
             dz = da * (pre_acts[i - 1] > 0)
-    return Gradients(weights=grads_w, biases=grads_b)
+    return grads
 
 
-def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState):
-    """Standard Adam update with bias correction, applied in place."""
-    params = net.parameter_arrays()
-    gs = grads.parameter_arrays()
-    if len(params) != len(state.first_moment) or any(
-            p.shape != g.shape for p, g in zip(params, gs)):
+def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
+    """Standard Adam update with bias correction, applied in place to net.params."""
+    if grads.shape != net.params.shape or state.first_moment.shape != net.params.shape:
         raise InvalidInputError("gradient shapes do not match network parameters")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, gs, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grads * grads
+    net.params -= (state.learning_rate * (m / (1 - ADAM_BETA1 ** t))
+                   / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPSILON))
     return net, state
 
 
@@ -253,26 +238,20 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
     return net, history
 
 
-def numeric_gradient(loss_fn, arrays, epsilon: float):
-    """Central-difference gradient of loss_fn with respect to each array entry."""
+def numeric_gradient(loss_fn, arr: np.ndarray, epsilon: float) -> np.ndarray:
+    """Central-difference gradient of loss_fn with respect to each entry of arr."""
     if not epsilon > 0:
         raise InvalidInputError("epsilon must be positive")
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + epsilon
-            f_plus = loss_fn()
-            arr[idx] = orig - epsilon
-            f_minus = loss_fn()
-            arr[idx] = orig
-            g[idx] = (f_plus - f_minus) / (2 * epsilon)
-            it.iternext()
-        grads.append(g)
-    return grads
+    g = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + epsilon
+        f_plus = loss_fn()
+        arr[idx] = orig - epsilon
+        f_minus = loss_fn()
+        arr[idx] = orig
+        g[idx] = (f_plus - f_minus) / (2 * epsilon)
+    return g
 
 
 def _head_loss_and_grad(net: DenseNetwork, x: np.ndarray, target: int):
@@ -303,15 +282,11 @@ def grad_check(net: DenseNetwork, x, target: int, epsilon: float = 1e-5) -> floa
     """
     x = np.asarray(x, dtype=float)
     _, cache, g_out = _head_loss_and_grad(net, x, target)
-    analytic = backward(net, cache, g_out).parameter_arrays()
+    analytic = backward(net, cache, g_out)
     numeric = numeric_gradient(
-        lambda: _head_loss_and_grad(net, x, target)[0],
-        net.parameter_arrays(), epsilon)
-    worst = 0.0
-    for a, nu in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(nu)), 1e-8)
-        worst = max(worst, float((np.abs(a - nu) / denom).max()))
-    return worst
+        lambda: _head_loss_and_grad(net, x, target)[0], net.params, epsilon)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def model_document(net: DenseNetwork) -> dict:
@@ -342,12 +317,13 @@ def network_from_document(doc: dict, source: str = "<document>") -> DenseNetwork
     if scaling != {"phase": PHASE_SCALE, "power": POWER_SCALE}:
         raise ArtifactError(f"{source}: unsupported feature scaling {scaling}")
     expected = list(zip(dims[:-1], dims[1:]))
-    if [w.shape for w in weights] != expected or [b.shape for b in biases] != [
-            (d,) for d in dims[1:]]:
+    if not expected or [w.shape for w in weights] != expected or [
+            b.shape for b in biases] != [(d,) for d in dims[1:]]:
         raise ArtifactError(f"{source}: parameter shapes do not match layer_dims")
-    if not all(np.isfinite(w).all() for w in weights + biases):
+    params = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+    if not np.isfinite(params).all():
         raise ArtifactError(f"{source}: non-finite parameters")
-    return DenseNetwork(layer_dims=dims, weights=weights, biases=biases, output_head=head)
+    return DenseNetwork(layer_dims=dims, params=params, output_head=head)
 
 
 def atomic_write(path, write) -> None:

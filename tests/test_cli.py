@@ -90,6 +90,21 @@ class TestUsageErrors:
         assert dispatch(["gen", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{group}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("snr_authorized_db", "nan"), ("snr_authorized_db", float("inf")),
+        ("noise.phase_bound_rad", float("nan")), ("drift.power_fraction", float("-inf")),
+    ])
+    def test_non_finite_config_values_are_config_errors(self, tmp_path, key, value, capsys):
+        doc = config_to_document(small_config())
+        *group, name = key.split(".")
+        (doc[group[0]] if group else doc)[name] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        for command in ("gen", "run"):
+            assert dispatch([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+            assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "full-strong").exists()
+
 
 class TestStagedPipeline:
     def test_gen_then_train_then_attack(self, config_file, tmp_path, capsys):
@@ -136,6 +151,19 @@ class TestStagedPipeline:
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
         assert dispatch(["attack", *argv]) == 1
         assert "member_eval.csv" in capsys.readouterr().err
+
+    def test_non_finite_dataset_value_names_the_file(self, config_file, tmp_path, capsys):
+        argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert dispatch(["gen", *argv]) == 0
+        path = tmp_path / "out" / "full-strong" / "41" / "datasets" / "provider_train.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[5] = "nan"  # phase_0 of the first sample
+        lines[1] = ",".join(fields)
+        path.write_text("".join(lines))
+        assert dispatch(["train", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "provider_train.csv" in err and "finite" in err
 
     def test_train_without_datasets_fails(self, config_file, tmp_path, capsys):
         assert dispatch(["train", "--config", str(config_file),

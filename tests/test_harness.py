@@ -173,6 +173,18 @@ class TestRunAll:
             harness.run_all(seeds=[1, 2, 3.5])
         assert ran == []
 
+    def test_repeated_seeds_rejected_before_any_cell_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_scenario", lambda config, **kw: ran.append(config))
+        with pytest.raises(InvalidConfigError, match="distinct"):
+            harness.run_all(seeds=[4, 4, 4])
+        with pytest.raises(InvalidConfigError, match="distinct"):
+            harness.run_all(seeds=[1, 2, 3, 1])
+        assert ran == []
+        assert cli.dispatch(["run-all", "--scenario", "full-strong",
+                             "--seeds", "4,4,4"]) == 2
+        assert ran == []
+
     def test_matrix_and_summary(self, tmp_path):
         reports, summary = harness.run_all(
             seeds=[31, 32, 33], base_config=small_config(),

@@ -238,6 +238,15 @@ class TestTypes:
             make_signals(rng, 2, class_label=[0])
         with pytest.raises(ValueError):
             make_signals(rng, 2, view="elsewhere")
+        for column in ("phases", "powers"):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = np.zeros((2, 16))
+                values[1, 7] = bad
+                kwargs = {"phases": np.zeros((2, 16)), "powers": np.zeros((2, 16)),
+                          column: values}
+                with pytest.raises(InvalidInputError, match="finite"):
+                    Signals(**kwargs, tx_id=[1, 1], class_label=[0, 0],
+                            view=Receiver.PROVIDER)
 
     def test_paired_observation_validation(self):
         rng = np.random.default_rng(0)

@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from airmia.errors import ArtifactError, InvalidConfigError
-from airmia.rfsim import TWO_PI, Modulation, Pairs, Receiver, Signals, snr_to_received_power
+from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
+from airmia.rfsim import (
+    TWO_PI,
+    Modulation,
+    NoiseModel,
+    Pairs,
+    Receiver,
+    Signals,
+    snr_to_received_power,
+)
 from airmia.scenarios import (
     PILOT_BITS,
     DriftModel,
@@ -90,6 +98,34 @@ class TestConfigValidation:
             small_config(drift=DriftModel(phase_bound_rad=-0.1))
         with pytest.raises(InvalidConfigError):
             small_config(drift=DriftModel(power_fraction=1.0))
+
+    @pytest.mark.parametrize("key", [
+        "snr_authorized_db", "snr_others_db", "provider_snr_spread_db",
+        "adversary_snr_jitter_db", "noise.phase_bound_rad", "noise.power_bound",
+        "noise.noise_floor", "drift.phase_bound_rad", "drift.power_fraction",
+        "mimic.phase_err_rad",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, key, value):
+        # through JSON text, as the CLI reads a config file
+        doc = config_to_document(small_config())
+        *group, name = key.split(".")
+        (doc[group[0]] if group else doc)[name] = value
+        with pytest.raises(InvalidConfigError):
+            config_from_document(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("value", ["nan", "Infinity", "-inf"])
+    def test_non_finite_strings_rejected(self, value):
+        doc = config_to_document(small_config())
+        doc["snr_authorized_db"] = value
+        with pytest.raises(InvalidConfigError, match="snr_authorized_db must be a finite"):
+            config_from_document(doc)
+
+    def test_non_finite_nested_value_names_its_field(self):
+        with pytest.raises(InvalidConfigError, match="mimic.phase_err_rad"):
+            small_config(mimic=MimicModel(phase_err_rad=float("inf")))
+        with pytest.raises(InvalidConfigError, match="drift.phase_bound_rad"):
+            small_config(drift=DriftModel(phase_bound_rad=float("nan")))
 
 
 class TestScenarioConstraints:
@@ -230,6 +266,12 @@ class TestGenerateScenarioData:
         assert np.array_equal(a.nonmember_eval.phases, b.nonmember_eval.phases)
         assert a.member_eval.phases.tobytes() == b.member_eval.phases.tobytes()
         assert a.member_eval.powers.tobytes() == b.member_eval.powers.tobytes()
+
+    def test_overflowing_snr_fails_on_finiteness(self):
+        # 1e308 dB is finite, but its received power overflows to infinity
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidInputError, match="finite"):
+                generate_scenario_data(small_config(snr_authorized_db=1e308))
 
     def test_different_seeds_differ(self):
         a = generate_scenario_data(small_config(seed=5))
@@ -401,10 +443,45 @@ class TestCsvProperties:
             assert path.read_bytes() == first
 
 
+@st.composite
+def scenario_configs(draw):
+    """Random valid ScenarioConfigs: even split counts, finite non-negative bounds."""
+    def even():
+        return st.integers(1, 5000).map(lambda k: 2 * k)
+
+    def real(lo=None, hi=None, **kw):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+    provider_train = draw(even())
+    counts = ScenarioCounts(
+        provider_train=provider_train, surrogate_train=draw(even()),
+        provider_test=draw(even()), member_eval=draw(st.integers(1, provider_train // 2)),
+        nonmember_eval=draw(even()))
+    users = UserCounts(*(draw(st.integers(1, 20)) for _ in range(3)))
+    noise = NoiseModel(phase_bound_rad=draw(real(0.0)), power_bound=draw(real(0.0)),
+                       noise_floor=draw(real(0.0, exclude_min=True)))
+    scenario = draw(st.sampled_from(Scenario))
+    snr_others = draw(real())
+    snr_auth = snr_others if scenario is Scenario.SAME_POWER else draw(real())
+    return ScenarioConfig(
+        scenario=scenario, seed=draw(st.integers(0, 2 ** 63)), counts=counts, users=users,
+        noise=noise, snr_authorized_db=snr_auth, snr_others_db=snr_others,
+        provider_snr_spread_db=draw(real(0.0)), adversary_snr_jitter_db=draw(real(0.0)),
+        drift=DriftModel(draw(real(0.0)), draw(real(0.0, 1.0, exclude_max=True))),
+        mimic=MimicModel(draw(real(0.0))))
+
+
 class TestConfigDocuments:
     def test_round_trip(self):
         config = small_config(scenario=Scenario.WEAK_AUTHORIZED, seed=3)
         assert config_from_document(config_to_document(config)) == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_configs())
+    def test_round_trip_property(self, config):
+        doc = config_to_document(config)
+        assert config_from_document(doc) == config
+        assert config_from_document(json.loads(json.dumps(doc))) == config
 
     def test_unknown_top_level_key_rejected(self):
         doc = config_to_document(small_config())

@@ -51,7 +51,15 @@ class TestInit:
         dims = [32, 100, 100, 100, 2]
         net = init_network(dims, OutputHead.SOFTMAX2, 0)
         expected = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-        assert net.parameter_count() == expected == 23702
+        assert net.params.size == expected == 23702
+
+    def test_weights_and_biases_are_views_of_params(self):
+        net = init_network([5, 4, 2], OutputHead.SOFTMAX2, 3)
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, net.params)
+        assert np.array_equal(
+            np.concatenate([a.ravel() for w, b in zip(net.weights, net.biases) for a in (w, b)]),
+            net.params)
 
     def test_zero_biases_and_he_scale(self):
         net = init_network([64, 128, 2], OutputHead.SOFTMAX2, 1)
@@ -128,7 +136,8 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(4, 6))
         _, cache = forward_batch(net, x)
         grads = backward(net, cache, np.zeros((4, 2)))
-        assert all((g == 0).all() for g in grads.parameter_arrays())
+        assert grads.shape == net.params.shape
+        assert (grads == 0).all()
 
     def test_single_sigmoid_layer_matches_hand_formula(self):
         # 1x1 layer: m = sigmoid(w x + b); dL/dw = g m (1 - m) x, dL/db = g m (1 - m)
@@ -140,8 +149,9 @@ class TestBackward:
         hand_m = 1 / (1 + math.exp(-(0.8 * x - 0.3)))
         assert abs(m - hand_m) < 1e-15
         grads = backward(net, cache, np.array([[g]]))
-        assert abs(grads.weights[0][0, 0] - g * m * (1 - m) * x) < 1e-12
-        assert abs(grads.biases[0][0] - g * m * (1 - m)) < 1e-12
+        # layout [w00, b0], like net.params
+        assert abs(grads[0] - g * m * (1 - m) * x) < 1e-12
+        assert abs(grads[1] - g * m * (1 - m)) < 1e-12
 
     def test_symmetric_loss_at_zero_network_has_zero_gradient(self):
         # CE summed over both labels is stationary at the uniform posterior
@@ -149,15 +159,15 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(1, 5))
         out, cache = forward_batch(net, x)
         g = -1.0 / out  # d/dp of -log p0 - log p1
-        analytic = backward(net, cache, g).parameter_arrays()
-        assert max(np.abs(a).max() for a in analytic) < 1e-12
+        analytic = backward(net, cache, g)
+        assert np.abs(analytic).max() < 1e-12
 
         def loss():
             o, _ = forward_batch(net, x)
             return float(-np.log(o).sum())
 
-        numeric = numeric_gradient(loss, net.parameter_arrays(), 1e-5)
-        assert max(np.abs(n).max() for n in numeric) < 1e-9
+        numeric = numeric_gradient(loss, net.params, 1e-5)
+        assert np.abs(numeric).max() < 1e-9
 
     def test_shape_mismatch_rejected(self):
         net = init_network([3, 2], OutputHead.SOFTMAX2, 0)
@@ -176,14 +186,14 @@ class TestNumericGradient:
         def f():
             return float((w @ x) ** 2)
 
-        numeric = numeric_gradient(f, [w], 1e-5)[0]
+        numeric = numeric_gradient(f, w, 1e-5)
         analytic = 2 * (w @ x) * x
         rel = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1e-8)
         assert rel.max() < 1e-9
 
     def test_epsilon_validated(self):
         with pytest.raises(InvalidInputError):
-            numeric_gradient(lambda: 0.0, [np.zeros(2)], 0.0)
+            numeric_gradient(lambda: 0.0, np.zeros(2), 0.0)
 
 
 class TestGradCheck:
@@ -205,11 +215,11 @@ class TestGradCheck:
 class TestAdam:
     def test_null_step_changes_nothing(self):
         net = init_network([4, 3, 2], OutputHead.SOFTMAX2, 9)
-        before = [p.copy() for p in net.parameter_arrays()]
+        before = net.params.copy()
         grads = backward(net, forward_batch(net, np.ones((1, 4)))[1], np.zeros((1, 2)))
         state = AdamState.for_network(net)
         adam_step(net, grads, state)
-        assert all(np.array_equal(b, p) for b, p in zip(before, net.parameter_arrays()))
+        assert np.array_equal(before, net.params)
         assert state.step_count == 1
 
     def test_first_step_magnitude_hand_example(self):
@@ -217,7 +227,7 @@ class TestAdam:
         net = zero_network([1, 1], OutputHead.SIGMOID_SCALAR)
         state = AdamState.for_network(net, learning_rate=0.1)
         grads = backward(net, forward_batch(net, np.ones((1, 1)))[1], np.zeros((1, 1)))
-        grads.weights[0][0, 0] = 1.0
+        grads[0] = 1.0  # the single weight; grads[1] is the bias
         adam_step(net, grads, state)
         expected = -0.1 / (1 + 1e-8)
         assert abs(net.weights[0][0, 0] - expected) < 1e-15
@@ -229,6 +239,15 @@ class TestAdam:
         for _ in range(5):
             adam_step(net, backward(net, cache, np.ones((1, 1))), state)
         assert state.step_count == 5
+
+    def test_update_shows_through_weight_views(self):
+        net = init_network([3, 2], OutputHead.SOFTMAX2, 2)
+        w0, before = net.weights[0], net.weights[0].copy()
+        _, cache = forward_batch(net, np.ones((1, 3)))
+        adam_step(net, backward(net, cache, np.array([[-1.0, 0.0]])),
+                  AdamState.for_network(net))
+        assert w0 is net.weights[0] and not np.array_equal(w0, before)
+        assert np.array_equal(net.weights[0].ravel(), net.params[:6])
 
     def test_shape_mismatch_rejected(self):
         net = init_network([2, 1], OutputHead.SIGMOID_SCALAR, 0)
@@ -262,8 +281,8 @@ class TestTrainSupervised:
         for _ in range(2):
             net = init_network([2, 8, 2], OutputHead.SOFTMAX2, 6)
             net, _ = train_supervised(net, x, y, TrainHyper(epochs=10, seed=6))
-            runs.append([p.copy() for p in net.parameter_arrays()])
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+            runs.append(net.params.copy())
+        assert np.array_equal(*runs)
 
     def test_empty_dataset_rejected(self):
         net = init_network([2, 2, 2], OutputHead.SOFTMAX2, 0)
@@ -312,6 +331,9 @@ class TestSerialization:
         assert back.output_head is net.output_head
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, back.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net.biases, back.biases))
+        assert np.array_equal(net.params, back.params)
+        for a in back.weights + back.biases:
+            assert np.shares_memory(a, back.params)
 
     def test_unknown_version_rejected(self, tmp_path):
         net = init_network([3, 1], OutputHead.SIGMOID_SCALAR, 0)
@@ -332,6 +354,9 @@ class TestSerialization:
         net = init_network([3, 2], OutputHead.SOFTMAX2, 0)
         doc = model_document(net)
         doc["layer_dims"] = [4, 2]
+        with pytest.raises(ArtifactError, match="shapes"):
+            network_from_document(doc)
+        doc.update(layer_dims=[3], weights=[], biases=[])  # no layer at all
         with pytest.raises(ArtifactError, match="shapes"):
             network_from_document(doc)
 
