@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArtifactError, InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 from .rfsim import Pairs, Signals
 from .tinynn import (
     DenseNetwork,
@@ -26,6 +26,8 @@ from .tinynn import (
     atomic_write_text,
     forward_batch,
     init_network,
+    parse_document,
+    read_json,
     train_supervised,
 )
 
@@ -64,9 +66,7 @@ class ClassifierReport:
 
 
 def report_from_document(doc: dict, source: str = "<document>") -> ClassifierReport:
-    try:
-        if doc["version"] != REPORT_FORMAT_VERSION:
-            raise ArtifactError(f"{source}: unknown report version {doc['version']!r}")
+    def build(doc):
         return ClassifierReport(
             role=doc["role"],
             train_accuracy=float(doc["train_accuracy"]),
@@ -75,10 +75,8 @@ def report_from_document(doc: dict, source: str = "<document>") -> ClassifierRep
             dataset_sizes=dict(doc["dataset_sizes"]),
             seed=int(doc["seed"]),
         )
-    except ArtifactError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{source}: malformed classifier report ({exc})") from exc
+
+    return parse_document(doc, REPORT_FORMAT_VERSION, source, "classifier report", build)
 
 
 def save_report(report: ClassifierReport, path) -> None:
@@ -86,12 +84,7 @@ def save_report(report: ClassifierReport, path) -> None:
 
 
 def load_report(path) -> ClassifierReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load report from {path}: {exc}") from exc
-    return report_from_document(doc, source=str(path))
+    return report_from_document(read_json(path, "classifier report"), source=str(path))
 
 
 def posterior_matrix(net: DenseNetwork, samples) -> np.ndarray:

@@ -19,24 +19,16 @@ from pathlib import Path
 from . import harness, mia, scenarios
 from .errors import ArtifactError, InvalidConfigError, InvalidInputError, PipelineStageError
 from .scenarios import Scenario
+from .tinynn import read_json
 
 OUT_DIR_ENV = "AIRMIA_OUT"
 
 
-def _load_config_document(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
 def _resolve(args, *, need_scenario: bool, need_seed: bool):
     """Merge config file, environment, and flags into (config, out_dir, seeds)."""
-    doc = dict(_load_config_document(args.config)) if args.config else {}
+    doc = read_json(args.config, "config") if args.config else {}
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"{args.config}: config must be a JSON object")
     config_out = doc.pop("out_dir", None)
     out_dir = args.out or config_out or os.environ.get(OUT_DIR_ENV) or "out"
     seeds = doc.pop("seeds", None)
@@ -94,7 +86,8 @@ def _print_report_summary(report: harness.ScenarioReport) -> None:
 def _cmd_gen(args) -> int:
     config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
     cell = harness.cell_dir(out_dir, config)
-    harness.save_datasets(scenarios.generate_scenario_data(config), cell)
+    bundle = harness.run_stage("generate", lambda: scenarios.generate_scenario_data(config))
+    harness.save_datasets(bundle, cell)
     print(f"wrote datasets for {config.scenario.value} seed {config.seed} "
           f"to {cell / 'datasets'}")
     return 0

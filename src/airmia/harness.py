@@ -29,7 +29,7 @@ import numpy as np
 from . import classify, mia, scenarios, tinynn
 from .errors import ArtifactError, InvalidConfigError, PipelineStageError
 from .scenarios import DataBundle, Scenario, ScenarioConfig
-from .tinynn import atomic_write, atomic_write_text
+from .tinynn import atomic_write, atomic_write_text, parse_document, read_json
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -109,9 +109,7 @@ class ScenarioReport:
 
 
 def report_from_document(doc: dict, source: str = "<document>") -> ScenarioReport:
-    try:
-        if doc["version"] != REPORT_FORMAT_VERSION:
-            raise ArtifactError(f"{source}: unknown report version {doc['version']!r}")
+    def build(doc):
         return ScenarioReport(
             config=scenarios.config_from_document(doc["config"]),
             seeds=dict(doc["seeds"]),
@@ -123,19 +121,12 @@ def report_from_document(doc: dict, source: str = "<document>") -> ScenarioRepor
             paired_agreement=float(doc["paired_agreement"]),
             unauthorized_grant_rate=float(doc["unauthorized_grant_rate"]),
         )
-    except ArtifactError:
-        raise
-    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
-        raise ArtifactError(f"{source}: malformed scenario report ({exc})") from exc
+
+    return parse_document(doc, REPORT_FORMAT_VERSION, source, "scenario report", build)
 
 
 def load_report_file(path) -> ScenarioReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load report from {path}: {exc}") from exc
-    return report_from_document(doc, source=str(path))
+    return report_from_document(read_json(path, "scenario report"), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +213,8 @@ def load_classifiers(cell):
 # Pipeline stages, shared by run_scenario, the staged CLI and reevaluation
 # ---------------------------------------------------------------------------
 
-def _stage(name: str, fn):
+def run_stage(name: str, fn):
+    """fn(), with any failure raised as a PipelineStageError naming the stage."""
     try:
         return fn()
     except PipelineStageError:
@@ -231,7 +223,7 @@ def _stage(name: str, fn):
         raise PipelineStageError(name, exc) from exc
 
 
-def train_classifiers(bundle: DataBundle, hyper: PipelineHyper, stage=_stage):
+def train_classifiers(bundle: DataBundle, hyper: PipelineHyper, stage=run_stage):
     """Fit the provider's target, then the surrogate on its observed grants.
 
     Returns (target, target_report, surrogate, surrogate_report). `stage`
@@ -256,7 +248,7 @@ def _held_out_numbers(bundle: DataBundle, dataset: mia.MembershipDataset,
 
 
 def attack(bundle: DataBundle, hyper: PipelineHyper, target, target_report,
-           surrogate, surrogate_report, stage=_stage):
+           surrogate, surrogate_report, stage=run_stage):
     """Fit the inference model and score the attack: (model, ScenarioReport)."""
 
     def fit():
@@ -290,7 +282,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
 
     def timed(name, fn):
         t0 = time.perf_counter()
-        result = _stage(name, fn)
+        result = run_stage(name, fn)
         stage_seconds[name] = time.perf_counter() - t0
         return result
 
@@ -374,12 +366,7 @@ def load_artifacts(directory) -> dict:
     directory = Path(directory)
     config_path = directory / "config.json"
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load config from {config_path}: {exc}") from exc
-    try:
-        config = scenarios.config_from_document(config_doc)
+        config = scenarios.config_from_document(read_json(config_path, "config"))
     except InvalidConfigError as exc:
         raise ArtifactError(f"{config_path}: {exc}") from exc
     bundle = load_datasets(directory, config)

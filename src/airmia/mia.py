@@ -12,6 +12,7 @@ constant model when the two sets share one distribution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .tinynn import (
     init_network,
     model_document,
     network_from_document,
+    parse_document,
+    read_json,
 )
 from .classify import features_matrix, posterior_matrix
 from .rfsim import Signals
@@ -171,7 +174,7 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
                            non_probs[dataset.nonmember_test_idx]),
         )
 
-    for _ in range(hyper.epochs):
+    for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n_train)
         for start in range(0, n_train, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
@@ -184,6 +187,9 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
             grads = backward(net, cache, g_out)
             adam_step(net, grads, state)
         train_gain, test_gain = gains()
+        if not (math.isfinite(train_gain) and math.isfinite(test_gain)
+                and np.isfinite(net.params).all()):
+            raise InvalidInputError(f"non-finite gain or parameters after epoch {epoch}")
         history["train"].append(train_gain)
         history["test"].append(test_gain)
 
@@ -267,18 +273,7 @@ def save_mia_model(model: MiaModel, path) -> None:
 
 
 def load_mia_model(path) -> MiaModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load inference model from {path}: {exc}") from exc
-    try:
-        if doc["version"] != MIA_FORMAT_VERSION:
-            raise ArtifactError(f"{path}: unknown inference model version {doc['version']!r}")
-        network = network_from_document(doc["network"], source=str(path))
-        threshold = float(doc["decision_threshold"])
-    except ArtifactError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed inference model ({exc})") from exc
-    return MiaModel(network=network, decision_threshold=threshold)
+    return parse_document(
+        read_json(path, "inference model"), MIA_FORMAT_VERSION, path, "inference model",
+        lambda doc: MiaModel(network=network_from_document(doc["network"], source=str(path)),
+                             decision_threshold=float(doc["decision_threshold"])))

@@ -97,6 +97,10 @@ class NoiseModel:
     noise_floor: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise InvalidInputError(f"noise.{name} must be a finite number, got {value!r}")
         if self.phase_bound_rad < 0 or self.power_bound < 0:
             raise InvalidInputError("noise bounds must be >= 0")
         if not self.noise_floor > 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -146,11 +146,12 @@ class ScenarioConfig:
         reals = {name: getattr(self, name) for name in (
             "snr_authorized_db", "snr_others_db", "provider_snr_spread_db",
             "adversary_snr_jitter_db")}
-        for group in ("noise", "drift", "mimic"):
+        for group in ("drift", "mimic"):  # NoiseModel checks its own fields
             reals.update({f"{group}.{name}": value
                           for name, value in vars(getattr(self, group)).items()})
         for name, value in reals.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
                 raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("provider_train", "surrogate_train", "provider_test", "nonmember_eval"):
             if getattr(c, name) % 2 != 0:
@@ -590,77 +591,36 @@ def read_pairs_csv(path) -> Pairs:
 # Config documents (JSON-facing)
 # ---------------------------------------------------------------------------
 
-def _check_keys(doc: dict, allowed, context: str) -> None:
-    unknown = set(doc) - set(allowed)
+# The config sections: nested documents, each built into its own dataclass.
+_SECTIONS = {"counts": ScenarioCounts, "users": UserCounts, "noise": NoiseModel,
+             "drift": DriftModel, "mimic": MimicModel}
+
+
+def _check_keys(doc: dict, cls, context: str) -> None:
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
 def config_to_document(config: ScenarioConfig) -> dict:
-    return {
-        "scenario": config.scenario.value,
-        "seed": config.seed,
-        "counts": {
-            "provider_train": config.counts.provider_train,
-            "surrogate_train": config.counts.surrogate_train,
-            "provider_test": config.counts.provider_test,
-            "member_eval": config.counts.member_eval,
-            "nonmember_eval": config.counts.nonmember_eval,
-        },
-        "users": {
-            "authorized": config.users.authorized,
-            "other_bpsk": config.users.other_bpsk,
-            "unauthorized_qpsk": config.users.unauthorized_qpsk,
-        },
-        "noise": {
-            "phase_bound_rad": config.noise.phase_bound_rad,
-            "power_bound": config.noise.power_bound,
-            "noise_floor": config.noise.noise_floor,
-        },
-        "snr_authorized_db": config.snr_authorized_db,
-        "snr_others_db": config.snr_others_db,
-        "provider_snr_spread_db": config.provider_snr_spread_db,
-        "adversary_snr_jitter_db": config.adversary_snr_jitter_db,
-        "drift": {
-            "phase_bound_rad": config.drift.phase_bound_rad,
-            "power_fraction": config.drift.power_fraction,
-        },
-        "mimic": {
-            "phase_err_rad": config.mimic.phase_err_rad,
-        },
-    }
+    return {**asdict(config), "scenario": config.scenario.value}
 
 
 def config_from_document(doc: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON document, rejecting unknown keys."""
+    """Build a ScenarioConfig from a JSON document, rejecting unknown keys.
+
+    Values pass through unconverted; ScenarioConfig validates them.
+    """
     if not isinstance(doc, dict):
         raise InvalidConfigError("scenario config must be a JSON object")
-    _check_keys(doc, config_to_document(
-        ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=0)).keys(), "config")
+    _check_keys(doc, ScenarioConfig, "config")
     try:
-        kwargs = {}
-        if "counts" in doc:
-            _check_keys(doc["counts"], ScenarioCounts().__dict__, "counts")
-            kwargs["counts"] = ScenarioCounts(**doc["counts"])
-        if "users" in doc:
-            _check_keys(doc["users"], UserCounts().__dict__, "users")
-            kwargs["users"] = UserCounts(**doc["users"])
-        if "noise" in doc:
-            _check_keys(doc["noise"], NoiseModel().__dict__, "noise")
-            kwargs["noise"] = NoiseModel(**doc["noise"])
-        if "drift" in doc:
-            _check_keys(doc["drift"], DriftModel().__dict__, "drift")
-            kwargs["drift"] = DriftModel(**doc["drift"])
-        if "mimic" in doc:
-            _check_keys(doc["mimic"], MimicModel().__dict__, "mimic")
-            kwargs["mimic"] = MimicModel(**doc["mimic"])
-        for key in ("snr_authorized_db", "snr_others_db",
-                    "provider_snr_spread_db", "adversary_snr_jitter_db"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        return ScenarioConfig(scenario=Scenario(doc["scenario"]), seed=doc["seed"], **kwargs)
-    except KeyError as exc:
-        raise InvalidConfigError(f"missing config key: {exc}") from exc
+        sections = {}
+        for name, cls in _SECTIONS.items():
+            if name in doc:
+                _check_keys(doc[name], cls, name)
+                sections[name] = cls(**doc[name])
+        return ScenarioConfig(**{**doc, **sections})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InvalidConfigError):
             raise

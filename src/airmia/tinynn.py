@@ -221,7 +221,7 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
     state = AdamState.for_network(net, learning_rate=hyper.learning_rate)
     onehot = np.eye(2)[y]
     history = []
-    for _ in range(hyper.epochs):
+    for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, hyper.batch_size):
@@ -235,6 +235,8 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
             grads = backward(net, cache, g_out)
             adam_step(net, grads, state)
         history.append(loss_sum / n)
+        if not (math.isfinite(history[-1]) and np.isfinite(net.params).all()):
+            raise InvalidInputError(f"non-finite loss or parameters after epoch {epoch}")
     return net, history
 
 
@@ -301,29 +303,23 @@ def model_document(net: DenseNetwork) -> dict:
 
 
 def network_from_document(doc: dict, source: str = "<document>") -> DenseNetwork:
-    try:
-        version = doc["version"]
-        if version != MODEL_FORMAT_VERSION:
-            raise ArtifactError(f"{source}: unknown model format version {version!r}")
+    def build(doc):
         dims = [int(d) for d in doc["layer_dims"]]
-        head = OutputHead(doc["output_head"])
         weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-        scaling = doc["scaling"]
-    except ArtifactError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{source}: malformed model document ({exc})") from exc
-    if scaling != {"phase": PHASE_SCALE, "power": POWER_SCALE}:
-        raise ArtifactError(f"{source}: unsupported feature scaling {scaling}")
-    expected = list(zip(dims[:-1], dims[1:]))
-    if not expected or [w.shape for w in weights] != expected or [
-            b.shape for b in biases] != [(d,) for d in dims[1:]]:
-        raise ArtifactError(f"{source}: parameter shapes do not match layer_dims")
-    params = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
-    if not np.isfinite(params).all():
-        raise ArtifactError(f"{source}: non-finite parameters")
-    return DenseNetwork(layer_dims=dims, params=params, output_head=head)
+        if doc["scaling"] != {"phase": PHASE_SCALE, "power": POWER_SCALE}:
+            raise ValueError(f"unsupported feature scaling {doc['scaling']}")
+        expected = list(zip(dims[:-1], dims[1:]))
+        if not expected or [w.shape for w in weights] != expected or [
+                b.shape for b in biases] != [(d,) for d in dims[1:]]:
+            raise ValueError("parameter shapes do not match layer_dims")
+        params = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+        if not np.isfinite(params).all():
+            raise ValueError("non-finite parameters")
+        return DenseNetwork(layer_dims=dims, params=params,
+                            output_head=OutputHead(doc["output_head"]))
+
+    return parse_document(doc, MODEL_FORMAT_VERSION, source, "model", build)
 
 
 def atomic_write(path, write) -> None:
@@ -341,14 +337,32 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write(path, write)
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at path; a missing or invalid file is an ArtifactError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"cannot load {what} from {path}: {exc}") from exc
+
+
+def parse_document(doc, version: str, source, what: str, build):
+    """build(doc) for a document of the given format version.
+
+    A wrong version, or a missing key or bad value that build meets (KeyError,
+    TypeError, ValueError), is an ArtifactError naming source.
+    """
+    try:
+        if doc["version"] != version:
+            raise ArtifactError(f"{source}: unknown {what} version {doc['version']!r}")
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{source}: malformed {what} ({exc})") from exc
+
+
 def save_model(net: DenseNetwork, path: str) -> None:
     atomic_write_text(path, json.dumps(model_document(net), sort_keys=True))
 
 
 def load_model(path: str) -> DenseNetwork:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"cannot load model from {path}: {exc}") from exc
-    return network_from_document(doc, source=str(path))
+    return network_from_document(read_json(path, "model"), source=str(path))

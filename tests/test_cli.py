@@ -93,6 +93,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("key,value", [
         ("snr_authorized_db", "nan"), ("snr_authorized_db", float("inf")),
         ("noise.phase_bound_rad", float("nan")), ("drift.power_fraction", float("-inf")),
+        ("snr_authorized_db", True), ("snr_authorized_db", "12"),
+        ("noise.phase_bound_rad", True), ("noise.phase_bound_rad", "12"),
     ])
     def test_non_finite_config_values_are_config_errors(self, tmp_path, key, value, capsys):
         doc = config_to_document(small_config())
@@ -124,6 +126,15 @@ class TestStagedPipeline:
         assert (cell / "models" / "mia.json").is_file()
         report = harness.load_report_file(cell / "report.json")
         assert 0.0 <= report.mia_accuracy <= 1.0
+
+    def test_generation_failure_names_the_stage_on_both_paths(self, tmp_path, capsys):
+        # finite, but the received power overflows
+        doc = config_to_document(small_config(snr_authorized_db=1e308))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        for command in ("gen", "run"):
+            assert dispatch([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+            assert "stage 'generate' failed" in capsys.readouterr().err
 
     def test_attack_before_train_fails(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

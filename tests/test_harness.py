@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from airmia import classify, cli, harness
+from airmia import classify, cli, harness, mia, tinynn
 from airmia.errors import ArtifactError, InvalidConfigError, PipelineStageError
 from airmia.scenarios import Scenario, config_to_document
+from airmia.tinynn import OutputHead, init_network
 from conftest import small_config, small_hyper
 
 
@@ -159,6 +160,62 @@ class TestPersistenceFidelity:
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
         with pytest.raises(ArtifactError, match="member_eval.csv"):
             harness.reevaluate_artifacts(cell_copy)
+
+
+def classifier_report():
+    return classify.ClassifierReport(role="target", train_accuracy=1.0, test_accuracy=0.5,
+                                     loss_history=[0.7, 0.6],
+                                     dataset_sizes={"train": 4, "test": 2}, seed=3)
+
+
+def scenario_report():
+    return harness.ScenarioReport(
+        config=small_config(), seeds={"scenario": 11}, target_report=classifier_report(),
+        surrogate_report=classifier_report(),
+        confusion=mia.ConfusionMatrix.from_counts([[3, 1], [1, 3]]),
+        gain_history={"train": [-0.6], "test": [-0.7]}, paired_agreement=1.0,
+        unauthorized_grant_rate=0.0)
+
+
+# name -> (reader, file name, a valid document, a key the reader needs)
+READERS = {
+    "model": (tinynn.load_model, "target.json",
+              lambda: tinynn.model_document(init_network([3, 2], OutputHead.SOFTMAX2, 0)),
+              "weights"),
+    "classifier-report": (classify.load_report, "target_report.json",
+                          lambda: classifier_report().to_document(), "role"),
+    "mia-model": (mia.load_mia_model, "mia.json", lambda: {
+        "version": mia.MIA_FORMAT_VERSION, "decision_threshold": 0.5,
+        "network": tinynn.model_document(
+            init_network(mia.MIA_DIMS, OutputHead.SIGMOID_SCALAR, 0))}, "decision_threshold"),
+    "scenario-report": (harness.load_report_file, "report.json",
+                        lambda: scenario_report().to_document(), "paired_agreement"),
+    "config": (lambda path: harness.load_artifacts(path.parent), "config.json",
+               lambda: config_to_document(small_config()), "seed"),
+}
+
+
+class TestReaders:
+    @pytest.mark.parametrize("reader,case", [
+        pytest.param(reader, case, id=f"{reader}-{case}") for reader in READERS
+        for case in ("missing", "invalid-json", "version", "missing-key")
+        if (reader, case) != ("config", "version")])  # a config has no version
+    def test_reader_names_the_file(self, tmp_path, reader, case):
+        load, name, document, key = READERS[reader]
+        path = tmp_path / name
+        doc = document()
+        if case == "invalid-json":
+            path.write_text("{ not json")
+        elif case == "version":
+            path.write_text(json.dumps({**doc, "version": "9"}))
+        elif case == "missing-key":
+            del doc[key]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError) as info:
+            load(path)
+        assert str(path) in str(info.value)
+        if case == "version":
+            assert "version '9'" in str(info.value)
 
 
 class TestRunAll:

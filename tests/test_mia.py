@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airmia import classify, mia
 from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
@@ -145,6 +148,12 @@ class TestTrainMia:
         assert ma[-1] > ma[0]
         assert (np.diff(ma) >= -2e-3).all()
 
+    def test_non_finite_training_names_the_epoch(self, small_bundle):
+        ds = mia.split_membership(small_bundle.member_eval, small_bundle.nonmember_eval, seed=1)
+        with pytest.raises(InvalidInputError, match=r"after epoch \d"):
+            mia.train_mia(random_surrogate(), ds,
+                          TrainHyper(epochs=3, learning_rate=1e300, seed=1))
+
     def test_degenerate_split_rejected(self, small_bundle):
         ds = mia.split_membership(small_bundle.member_eval,
                                   small_bundle.nonmember_eval, seed=3)
@@ -218,6 +227,30 @@ class TestEvaluateMia:
             accs.append(mia.ConfusionMatrix.from_counts(counts).accuracy)
         assert all(0.45 < a < 0.55 for a in accs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=4, max_size=4).filter(
+        lambda c: c[0] + c[1] > 0 and c[2] + c[3] > 0))
+    def test_from_counts_arithmetic_property(self, flat):
+        cm = mia.ConfusionMatrix.from_counts(np.reshape(flat, (2, 2)))
+        assert np.abs(cm.rates.sum(axis=1) - 1.0).max() <= 1e-12
+        assert cm.accuracy == np.diag(cm.rates).mean()
+        back = mia.confusion_from_document(json.loads(json.dumps(cm.to_document())))
+        assert np.array_equal(back.counts, cm.counts)
+        assert np.array_equal(back.rates, cm.rates)
+        assert back.accuracy == cm.accuracy
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 10 ** 6), min_size=4, max_size=4),
+           st.integers(0, 3), st.integers(1, 10 ** 6))
+    def test_negative_count_or_empty_row_rejected(self, flat, cell, magnitude):
+        negative = np.reshape(flat, (2, 2))
+        negative.flat[cell] = -magnitude
+        empty = np.reshape(flat, (2, 2))
+        empty[cell // 2] = 0
+        for counts in (negative, empty):
+            with pytest.raises(ArtifactError, match="confusion"):
+                mia.confusion_from_document({"counts": counts.tolist()})
+
     def test_confusion_csv_layout(self):
         cm = mia.ConfusionMatrix.from_counts([[9152, 848], [1429, 8571]])
         text = cm.to_csv_text()
@@ -237,18 +270,6 @@ class TestMiaModelPersistence:
         assert back.decision_threshold == 0.5
         assert all(np.array_equal(a, b) for a, b in
                    zip(model.network.weights, back.network.weights))
-
-    def test_unknown_version_rejected(self, tmp_path):
-        model = mia.MiaModel(network=init_network(mia.MIA_DIMS,
-                                                  OutputHead.SIGMOID_SCALAR, 4))
-        path = tmp_path / "mia.json"
-        mia.save_mia_model(model, path)
-        import json as _json
-        doc = _json.loads(path.read_text())
-        doc["version"] = "7"
-        path.write_text(_json.dumps(doc))
-        with pytest.raises(ArtifactError, match="version"):
-            mia.load_mia_model(path)
 
 
 class TestNullAttackSmallScale:

@@ -105,13 +105,13 @@ class TestConfigValidation:
         "noise.noise_floor", "drift.phase_bound_rad", "drift.power_fraction",
         "mimic.phase_err_rad",
     ])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "12"])
     def test_non_finite_values_rejected(self, key, value):
         # through JSON text, as the CLI reads a config file
         doc = config_to_document(small_config())
         *group, name = key.split(".")
         (doc[group[0]] if group else doc)[name] = value
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=f"{key} must be a finite number"):
             config_from_document(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("value", ["nan", "Infinity", "-inf"])
