@@ -10,6 +10,9 @@
 hashes every file of each cell except timings.json, plus the dict that
 `harness.reevaluate_artifacts` returns, and writes the hashes as JSON. BLAS
 is pinned to one thread, since report bytes depend on the thread count.
+airmia pins it itself on import; this script's own OPENBLAS_NUM_THREADS=1
+is kept so that checkouts from before that pin hash the same numerics and
+compare equal.
 
 `compare` reports every hash that differs between two such files, leaving
 out files whose cell-relative path matches a --skip glob. `staged` compares

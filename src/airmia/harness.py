@@ -298,6 +298,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
             "stage_seconds": stage_seconds,
             "target_train_seconds": target_report.train_seconds,
             "surrogate_train_seconds": surrogate_report.train_seconds,
+            "blas_threads": tinynn.BLAS_THREADS,
         })
 
     return report

@@ -49,12 +49,6 @@ def wrap_phase(x):
     return np.mod(x, TWO_PI)
 
 
-def circular_distance(a, b):
-    """Shortest angular distance between two wrapped phases."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
-    return np.minimum(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class DeviceProfile:
     """A transmitter: intrinsic phase shift, power, modulation, authorization."""

@@ -55,6 +55,9 @@ S_MEMBER_CHOICE = 7
 DEFAULT_PHASE_DRIFT_RAD = 0.06
 DEFAULT_POWER_DRIFT_FRACTION = 0.035
 
+# Bound of the uniform jitter added to each evenly spaced per-user SNR.
+SPACING_JITTER_DB = 0.25
+
 # Fixed pilot bit patterns, one per modulation. Authentication samples are
 # collected from a known sounding sequence, so each feature dimension sits at
 # a stable constellation point per user instead of hopping with the payload.
@@ -168,6 +171,20 @@ class ScenarioConfig:
             raise InvalidConfigError("drift.power_fraction must be in [0, 1)")
         if self.mimic.phase_err_rad < 0:
             raise InvalidConfigError("mimic phase error must be >= 0")
+        for name in ("snr_authorized_db", "snr_others_db"):
+            # the largest SNR a user can draw, and the largest epoch drift on top of it
+            largest_db = (getattr(self, name) + self.provider_snr_spread_db
+                          + SPACING_JITTER_DB + self.adversary_snr_jitter_db)
+            try:
+                power = (snr_to_received_power(largest_db, self.noise.noise_floor)
+                         * (1.0 + self.drift.power_fraction))
+            except OverflowError:
+                power = math.inf
+            if not math.isfinite(power):
+                raise InvalidConfigError(
+                    f"{name} must be a finite number with a finite received power, got "
+                    f"{getattr(self, name)!r}: its largest draw, {largest_db!r} dB, overflows "
+                    f"at noise.noise_floor {self.noise.noise_floor!r}")
         if self.scenario is Scenario.SAME_POWER and \
                 self.effective_snr_authorized_db != self.snr_others_db:
             raise InvalidConfigError(
@@ -228,7 +245,7 @@ def _spaced_snrs(nominal_db: float, count: int, spread_db: float, rng) -> list[f
         slots = np.array([0.0])
     else:
         slots = spread_db * (2.0 * (np.arange(count) + 0.5) / count - 1.0)
-    jitter = rng.uniform(-0.25, 0.25, size=count)
+    jitter = rng.uniform(-SPACING_JITTER_DB, SPACING_JITTER_DB, size=count)
     return list(nominal_db + rng.permutation(slots) + jitter)
 
 

@@ -4,10 +4,16 @@ Double-precision numpy throughout: plain matmul forward, hand-written
 reverse-mode gradients, Adam updates, and a central-difference gradient
 oracle used by the test suite. Two output heads are supported: a two-way
 softmax posterior and a scalar sigmoid.
+
+Importing this module pins the loaded OpenBLAS to one thread for the whole
+process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
+trained weight and report byte, depends on the BLAS thread count.
+BLAS_THREADS records the outcome.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import json
 import math
@@ -35,6 +41,50 @@ MODEL_FORMAT_VERSION = "1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+
+# Thread-count setters exported by the OpenBLAS builds numpy ships or links,
+# in order of preference; each has a getter of the same name with "get".
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _loaded_blas_libraries() -> list[str]:
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "blas" in line.lower()}
+    except OSError:
+        return []
+    return sorted(p for p in paths if p.startswith("/"))
+
+
+def _pin_blas_threads() -> dict:
+    """Set the loaded OpenBLAS to one thread; the count read back and the setter used.
+
+    Without a setter (numpy built on another BLAS) nothing is set and both
+    entries are None.
+    """
+    for path in _loaded_blas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            getter = getattr(lib, symbol.replace("_set_", "_get_"), None)
+            count = 1
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                count = int(getter())
+            return {"count": count, "setter": f"{symbol} in {os.path.basename(path)}"}
+    return {"count": None, "setter": None}
+
+
+BLAS_THREADS = _pin_blas_threads()
 
 
 class OutputHead(str, enum.Enum):
@@ -79,6 +129,11 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
+    # scratch vectors that adam_step computes into, so a step allocates nothing
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
     @classmethod
     def for_network(cls, net: DenseNetwork, learning_rate: float = 1e-3):
@@ -191,18 +246,33 @@ def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> np.ndarray:
 
 
 def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
-    """Standard Adam update with bias correction, applied in place to net.params."""
-    if grads.shape != net.params.shape or state.first_moment.shape != net.params.shape:
+    """Standard Adam update with bias correction, applied in place to net.params.
+
+    Computes params -= lr * (m / c1) / (sqrt(v / c2) + eps) in that
+    per-element order, with c = 1 - beta ** t, entirely in place.
+    """
+    if grads.shape != net.params.shape or any(
+            a.shape != net.params.shape
+            for a in (state.first_moment, state.second_moment, *state.scratch)):
         raise InvalidInputError("gradient shapes do not match network parameters")
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    a, b = state.scratch
+    np.multiply(grads, 1 - ADAM_BETA1, out=a)
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grads
+    m += a
+    np.multiply(grads, 1 - ADAM_BETA2, out=a)
+    a *= grads
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grads * grads
-    net.params -= (state.learning_rate * (m / (1 - ADAM_BETA1 ** t))
-                   / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPSILON))
+    v += a
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
+    a *= state.learning_rate
+    np.divide(v, 1 - ADAM_BETA2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPSILON
+    a /= b
+    net.params -= a
     return net, state
 
 

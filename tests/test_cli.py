@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airmia import classify, harness
+from airmia import classify, harness, scenarios
 from airmia.cli import OUT_DIR_ENV, dispatch, format_confusion
+from airmia.errors import InvalidInputError
 from airmia.mia import ConfusionMatrix
 from airmia.scenarios import config_to_document
 from conftest import small_config
@@ -95,6 +100,7 @@ class TestUsageErrors:
         ("noise.phase_bound_rad", float("nan")), ("drift.power_fraction", float("-inf")),
         ("snr_authorized_db", True), ("snr_authorized_db", "12"),
         ("noise.phase_bound_rad", True), ("noise.phase_bound_rad", "12"),
+        ("snr_authorized_db", 1e308),  # finite, but its received power overflows
     ])
     def test_non_finite_config_values_are_config_errors(self, tmp_path, key, value, capsys):
         doc = config_to_document(small_config())
@@ -127,13 +133,15 @@ class TestStagedPipeline:
         report = harness.load_report_file(cell / "report.json")
         assert 0.0 <= report.mia_accuracy <= 1.0
 
-    def test_generation_failure_names_the_stage_on_both_paths(self, tmp_path, capsys):
-        # finite, but the received power overflows
-        doc = config_to_document(small_config(snr_authorized_db=1e308))
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
+    def test_generation_failure_names_the_stage_on_both_paths(
+            self, config_file, tmp_path, monkeypatch, capsys):
+        def fail(config):
+            raise InvalidInputError("phases and powers must be finite")
+
+        monkeypatch.setattr(scenarios, "generate_scenario_data", fail)
         for command in ("gen", "run"):
-            assert dispatch([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+            assert dispatch([command, "--config", str(config_file),
+                             "--out", str(tmp_path)]) == 1
             assert "stage 'generate' failed" in capsys.readouterr().err
 
     def test_attack_before_train_fails(self, config_file, tmp_path, capsys):
@@ -193,6 +201,23 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert dispatch(["gen", "--config", str(path)]) == 0
         assert (tmp_path / "envout" / "full-strong" / "44" / "datasets").is_dir()
+
+
+class TestBlasPin:
+    def test_report_bytes_do_not_depend_on_openblas_num_threads(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_to_document(small_config())))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        cells = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "airmia.cli", "run", "--config", str(config),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            cells.append(out / "full-strong" / "11")
+        assert (cells[0] / "report.json").read_bytes() == (cells[1] / "report.json").read_bytes()
+        for cell in cells:
+            assert json.loads((cell / "timings.json").read_text())["blas_threads"]["count"] == 1
 
 
 class TestRunAll:

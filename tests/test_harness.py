@@ -66,6 +66,7 @@ class TestRunScenario:
         assert set(doc["stage_seconds"]) == {"generate", "train-target", "train-surrogate",
                                              "train-mia", "evaluate", "persist"}
         assert sum(doc["stage_seconds"].values()) <= doc["wall_seconds"]
+        assert doc["blas_threads"] == tinynn.BLAS_THREADS
         last = timings.stat().st_mtime_ns
         assert all(p.stat().st_mtime_ns <= last
                    for p in small_run["cell"].rglob("*") if p.is_file())

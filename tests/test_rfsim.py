@@ -13,7 +13,6 @@ from airmia.rfsim import (
     Receiver,
     Signals,
     TWO_PI,
-    circular_distance,
     modulate,
     propagate,
     snr_to_received_power,
@@ -21,6 +20,12 @@ from airmia.rfsim import (
 )
 
 PI = math.pi
+
+
+def circular_distance(a, b):
+    """Shortest angular distance between two wrapped phases."""
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
 def make_device(phase=0.0, power=1.0, modulation=Modulation.QPSK, uid=1, authorized=True):

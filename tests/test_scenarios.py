@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
+from airmia.errors import ArtifactError, InvalidConfigError
 from airmia.rfsim import (
     TWO_PI,
     Modulation,
@@ -120,6 +120,12 @@ class TestConfigValidation:
         doc["snr_authorized_db"] = value
         with pytest.raises(InvalidConfigError, match="snr_authorized_db must be a finite"):
             config_from_document(doc)
+
+    def test_overflowing_snr_is_a_config_error(self):
+        # 1e308 dB is finite, but its received power overflows to infinity
+        for field in ("snr_authorized_db", "snr_others_db"):
+            with pytest.raises(InvalidConfigError, match=f"{field} .*received power"):
+                small_config(**{field: 1e308})
 
     def test_non_finite_nested_value_names_its_field(self):
         with pytest.raises(InvalidConfigError, match="mimic.phase_err_rad"):
@@ -267,11 +273,14 @@ class TestGenerateScenarioData:
         assert a.member_eval.phases.tobytes() == b.member_eval.phases.tobytes()
         assert a.member_eval.powers.tobytes() == b.member_eval.powers.tobytes()
 
-    def test_overflowing_snr_fails_on_finiteness(self):
-        # 1e308 dB is finite, but its received power overflows to infinity
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(InvalidInputError, match="finite"):
-                generate_scenario_data(small_config(snr_authorized_db=1e308))
+    def test_largest_accepted_snr_generates_finite_powers(self):
+        # 3079 dB is accepted: its largest draw, 3081.5 dB, has a finite received power
+        bundle = generate_scenario_data(
+            small_config(snr_authorized_db=3079.0, snr_others_db=3079.0))
+        assert np.isfinite(bundle.provider_train.powers).all()
+        assert np.isfinite(bundle.test_pairs.adversary.powers).all()
+        with pytest.raises(InvalidConfigError, match="snr_authorized_db"):
+            small_config(snr_authorized_db=3080.0)
 
     def test_different_seeds_differ(self):
         a = generate_scenario_data(small_config(seed=5))
@@ -458,15 +467,17 @@ def scenario_configs(draw):
         provider_test=draw(even()), member_eval=draw(st.integers(1, provider_train // 2)),
         nonmember_eval=draw(even()))
     users = UserCounts(*(draw(st.integers(1, 20)) for _ in range(3)))
+    # The floor and SNR bounds keep the largest received power finite (< 1e307).
     noise = NoiseModel(phase_bound_rad=draw(real(0.0)), power_bound=draw(real(0.0)),
-                       noise_floor=draw(real(0.0, exclude_min=True)))
+                       noise_floor=draw(real(0.0, 1e6, exclude_min=True)))
     scenario = draw(st.sampled_from(Scenario))
-    snr_others = draw(real())
-    snr_auth = snr_others if scenario is Scenario.SAME_POWER else draw(real())
+    snr_others = draw(real(None, 1e3))
+    snr_auth = snr_others if scenario is Scenario.SAME_POWER else draw(real(None, 1e3))
     return ScenarioConfig(
         scenario=scenario, seed=draw(st.integers(0, 2 ** 63)), counts=counts, users=users,
         noise=noise, snr_authorized_db=snr_auth, snr_others_db=snr_others,
-        provider_snr_spread_db=draw(real(0.0)), adversary_snr_jitter_db=draw(real(0.0)),
+        provider_snr_spread_db=draw(real(0.0, 1e3)),
+        adversary_snr_jitter_db=draw(real(0.0, 1e3)),
         drift=DriftModel(draw(real(0.0)), draw(real(0.0, 1.0, exclude_max=True))),
         mimic=MimicModel(draw(real(0.0))))
 

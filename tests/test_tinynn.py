@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airmia.errors import ArtifactError, InvalidInputError
 from airmia.tinynn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     OutputHead,
     TrainHyper,
@@ -211,7 +217,40 @@ class TestGradCheck:
         assert grad_check(net, np.ones(4), 0, epsilon=1e-5) < 1e-4
 
 
+@st.composite
+def gradient_sequences(draw):
+    """(steps, size) gradients for a network with size parameters."""
+    steps, size = draw(st.integers(1, 30)), draw(st.integers(2, 12))
+    return draw(hnp.arrays(np.float64, (steps, size), elements=st.floats(-1e3, 1e3)))
+
+
 class TestAdam:
+    @settings(max_examples=200, deadline=None)
+    @given(gradient_sequences(), st.floats(1e-6, 1.0), st.booleans())
+    @example(np.ones((3, 4)), 1e-3, True)
+    def test_step_is_bit_identical_to_the_allocating_update(self, grads, lr, direct):
+        net = init_network([grads.shape[1] - 1, 1], OutputHead.SIGMOID_SCALAR, 0)
+        if direct:
+            state = AdamState(first_moment=np.zeros_like(net.params),
+                              second_moment=np.zeros_like(net.params),
+                              step_count=0, learning_rate=lr)
+        else:
+            state = AdamState.for_network(net, learning_rate=lr)
+        params, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
+        for t, g in enumerate(grads, start=1):
+            adam_step(net, g, state)
+            # the allocating expression, in its per-element order
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            params -= (lr * (m / (1 - ADAM_BETA1 ** t))
+                       / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPSILON))
+        assert np.array_equal(net.params, params)
+        assert np.array_equal(state.first_moment, m)
+        assert np.array_equal(state.second_moment, v)
+        assert state.step_count == len(grads)
+
     def test_null_step_changes_nothing(self):
         net = init_network([4, 3, 2], OutputHead.SOFTMAX2, 9)
         before = net.params.copy()
