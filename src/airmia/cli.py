@@ -30,6 +30,8 @@ def _resolve(args, *, need_scenario: bool, need_seed: bool):
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"{args.config}: config must be a JSON object")
     config_out = doc.pop("out_dir", None)
+    if config_out is not None and not isinstance(config_out, str):
+        raise InvalidConfigError(f"out_dir must be a path string, got {config_out!r}")
     out_dir = args.out or config_out or os.environ.get(OUT_DIR_ENV) or "out"
     seeds = doc.pop("seeds", None)
     if getattr(args, "seeds", None):

@@ -1,12 +1,13 @@
-"""Signal-level simulation: modulation, device and channel effects, bounded noise.
+"""Signal-level simulation: modulation, row-wise propagation, bounded noise.
 
 The feature model is one (phase, power) pair per transmitted symbol and 16
 symbols per sample, so a full sample carries 32 features. Every transmission
 can be observed twice -- once at the service provider and once at the
 eavesdropping adversary -- through two different static links with
-independent noise draws. Datasets are column tables: `Signals` holds one row
-per observation, `Pairs` the provider and adversary rows of the same
-transmissions.
+independent noise draws. `propagate` is arithmetic over rows: each row's
+device phase, link phase and received power, plus noise drawn by the caller.
+Datasets are column tables: `Signals` holds one row per observation, `Pairs`
+the provider and adversary rows of the same transmissions.
 """
 
 from __future__ import annotations
@@ -47,39 +48,6 @@ BPSK_PHASES = {0: 0.0, 1: math.pi}
 def wrap_phase(x):
     """Wrap an angle (scalar or array) into [0, 2*pi)."""
     return np.mod(x, TWO_PI)
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """A transmitter: intrinsic phase shift, power, modulation, authorization."""
-
-    id: int
-    phase_shift_rad: float
-    transmit_power: float
-    modulation: Modulation
-    authorized: bool
-
-    def __post_init__(self):
-        if not self.transmit_power > 0:
-            raise InvalidInputError(f"transmit_power must be > 0, got {self.transmit_power}")
-        object.__setattr__(self, "phase_shift_rad", float(wrap_phase(self.phase_shift_rad)))
-        object.__setattr__(self, "modulation", Modulation(self.modulation))
-
-
-@dataclass(frozen=True)
-class ChannelLink:
-    """Static per-(tx, rx) channel: linear power gain and phase offset."""
-
-    tx_id: int
-    rx_id: Receiver
-    gain: float
-    phase_offset_rad: float
-
-    def __post_init__(self):
-        if self.gain < 0:
-            raise InvalidInputError(f"channel gain must be >= 0, got {self.gain}")
-        object.__setattr__(self, "phase_offset_rad", float(wrap_phase(self.phase_offset_rad)))
-        object.__setattr__(self, "rx_id", Receiver(self.rx_id))
 
 
 @dataclass(frozen=True)
@@ -183,46 +151,32 @@ def modulate(bits, scheme: Modulation) -> np.ndarray:
     return np.array([QPSK_GRAY_PHASES[p] for p in pairs], dtype=float)
 
 
-def propagate(
-    base_phases,
-    device: DeviceProfile,
-    link: ChannelLink,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply device and channel effects plus bounded noise: (phases, powers).
+def propagate(base_phases, device_phase, link_phase, power, noise):
+    """Observe n transmissions through one receiver's links: (phases, powers).
 
-    phase_k = wrap(base_k + device phase + link phase + U[-e_phi, e_phi])
-    power_k = max(0, gain * transmit_power + U[-e_p, e_p])
+    base_phases is (n, 16) or (16,); device_phase, link_phase and power (the
+    received power) hold one value per row; noise is (n, 2, 16), each row's
+    phase noise and then its power noise. Device and link phases are taken
+    modulo 2*pi before they are added.
+
+    phase_k = wrap(base_k + device phase + link phase + phase noise_k)
+    power_k = max(0, power + power noise_k)
     """
-    if link.tx_id != device.id:
-        raise InvalidInputError(f"link tx_id {link.tx_id} does not match device id {device.id}")
-    base = np.asarray(base_phases, dtype=float)
-    n = base.size
-    phase_noise = rng.uniform(-noise.phase_bound_rad, noise.phase_bound_rad, size=n)
-    power_noise = rng.uniform(-noise.power_bound, noise.power_bound, size=n)
-    phases = wrap_phase(base + device.phase_shift_rad + link.phase_offset_rad + phase_noise)
-    powers = np.maximum(0.0, link.gain * device.transmit_power + power_noise)
+    device, link = wrap_phase(device_phase)[:, None], wrap_phase(link_phase)[:, None]
+    phases = wrap_phase(base_phases + device + link + noise[:, 0])
+    powers = np.maximum(0.0, power[:, None] + noise[:, 1])
     return phases, powers
 
 
-def transmit_paired(
-    device: DeviceProfile,
-    provider_link: ChannelLink,
-    adversary_link: ChannelLink,
-    bits,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-):
-    """Modulate once, then observe through both links with independent noise.
+def transmit_paired(base_phases, device_phase, link_phase, power, noise):
+    """Observe the same transmissions at the provider, then at the adversary.
 
-    Returns the provider's (phases, powers), then the adversary's.
+    link_phase and power are (n, 2) and noise is (n, 2, 2, 16), with the
+    provider's links and noise first. Returns the provider's (phases,
+    powers), then the adversary's.
     """
-    if provider_link.tx_id != device.id or adversary_link.tx_id != device.id:
-        raise InvalidInputError("both links must carry the transmitting device id")
-    base = modulate(bits, device.modulation)
-    return (propagate(base, device, provider_link, noise, rng),
-            propagate(base, device, adversary_link, noise, rng))
+    return tuple(propagate(base_phases, device_phase, link_phase[:, v], power[:, v], noise[:, v])
+                 for v in range(2))
 
 
 def snr_to_received_power(snr_db: float, noise_floor: float) -> float:

@@ -1,11 +1,13 @@
-"""Scenario configuration, user population resolution, and dataset generation.
+"""Scenario configuration, the user population table, and dataset generation.
 
 A scenario fixes the user groups (authorized QPSK users, other BPSK users,
-and unauthorized QPSK users that only appear at evaluation time), draws one
-static channel per (user, receiver) pair, and generates every dataset the
-pipeline needs. Each sample derives from its own counter-based random
-substream keyed by (seed, stream, index), so generation order or
-parallelism cannot change the output.
+and unauthorized QPSK users that only appear at evaluation time) and draws
+one static channel per (user, receiver) pair. The result is one table,
+`Population`, with a row per user: its device phase, and its link phase and
+received power per receiver and epoch. Every dataset is a block of table
+rows observed through `rfsim.propagate`. Each sample's noise derives from
+its own counter-based random substream keyed by (seed, stream, index), so
+generation order or parallelism cannot change the output.
 
 Signals collected while the authentication classifier's training data was
 recorded see the training-epoch channel state; everything fresh (surrogate
@@ -28,8 +30,6 @@ from .errors import ArtifactError, InvalidConfigError, InvalidInputError
 from .rfsim import (
     SYMBOLS_PER_SAMPLE,
     TWO_PI,
-    ChannelLink,
-    DeviceProfile,
     Modulation,
     NoiseModel,
     Pairs,
@@ -67,6 +67,10 @@ PILOT_BITS = {
 }
 
 
+# The modulated pilots: each modulation's 16 base phases.
+PILOT_PHASES = {m: tuple(modulate(bits, m).tolist()) for m, bits in PILOT_BITS.items()}
+
+
 class Scenario(str, enum.Enum):
     FULL_STRONG = "full-strong"
     SAME_POWER = "same-power"
@@ -74,9 +78,15 @@ class Scenario(str, enum.Enum):
     WEAK_AUTHORIZED = "weak-authorized"
 
 
-class Epoch(str, enum.Enum):
-    TRAIN = "train"  # while the target classifier's training data was collected
-    TEST = "test"  # fresh traffic observed afterwards
+class Epoch(enum.IntEnum):
+    """The epoch axis of the population table."""
+
+    TRAIN = 0  # while the target classifier's training data was collected
+    TEST = 1  # fresh traffic observed afterwards
+
+
+# The receiver axis of the population table and of paired noise blocks.
+RECEIVERS = tuple(Receiver)
 
 
 @dataclass(frozen=True)
@@ -199,42 +209,32 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class UserChannels:
-    """One user's device plus its static links at both receivers and epochs."""
-
-    device: DeviceProfile
-    links: dict  # {(Receiver, Epoch): ChannelLink}
-
-    def link(self, rx: Receiver, epoch: Epoch) -> ChannelLink:
-        return self.links[(rx, epoch)]
-
-    def received_power(self, rx: Receiver, epoch: Epoch) -> float:
-        return self.link(rx, epoch).gain * self.device.transmit_power
-
-    def combined_phase(self, rx: Receiver, epoch: Epoch) -> float:
-        return float(wrap_phase(
-            self.device.phase_shift_rad + self.link(rx, epoch).phase_offset_rad))
-
-
-@dataclass(frozen=True)
 class Population:
-    authorized: list[UserChannels]
-    other_bpsk: list[UserChannels]
-    unauthorized_qpsk: list[UserChannels]
+    """Every user as one table row, in tx_id order (tx_id = row + 1).
 
-    @property
-    def qpsk_users(self) -> list[UserChannels]:
-        return self.authorized + self.unauthorized_qpsk
+    The rows are the authorized QPSK users, then the other BPSK users, then
+    the unauthorized QPSK users. device_phase is (users,); link_phase and
+    power (the received power) are (users, receiver, epoch), indexed in
+    RECEIVERS and Epoch order.
+    """
 
-
-def _signed_magnitude(r: float, bound: float) -> float:
-    """Map a U(-1, 1) draw to a signed magnitude in [0.7 * bound, bound]."""
-    if bound == 0.0:
-        return 0.0
-    return math.copysign(0.7 * bound + 0.3 * abs(r) * bound, r)
+    device_phase: np.ndarray
+    link_phase: np.ndarray
+    power: np.ndarray
 
 
-def _spaced_snrs(nominal_db: float, count: int, spread_db: float, rng) -> list[float]:
+def _groups(users: UserCounts):
+    """Table rows of the authorized, other BPSK and unauthorized users."""
+    a, o = users.authorized, users.other_bpsk
+    return np.arange(a), np.arange(a, a + o), np.arange(a + o, a + o + users.unauthorized_qpsk)
+
+
+def _signed_magnitude(r, bound: float):
+    """Map U(-1, 1) draws to signed magnitudes in [0.7 * bound, bound]."""
+    return np.copysign(0.7 * bound + 0.3 * np.abs(r) * bound, r)
+
+
+def _spaced_snrs(nominal_db: float, count: int, spread_db: float, rng) -> np.ndarray:
     """Evenly spaced per-user SNRs inside nominal +- spread, jittered and shuffled.
 
     Deliberate spacing keeps received powers distinct across the users a
@@ -246,73 +246,18 @@ def _spaced_snrs(nominal_db: float, count: int, spread_db: float, rng) -> list[f
     else:
         slots = spread_db * (2.0 * (np.arange(count) + 0.5) / count - 1.0)
     jitter = rng.uniform(-SPACING_JITTER_DB, SPACING_JITTER_DB, size=count)
-    return list(nominal_db + rng.permutation(slots) + jitter)
-
-
-def _build_user(uid, provider_snr_db, modulation, authorized, config, rng):
-    """Draw one user's device, links at both receivers, and epoch drift."""
-    dev_phase = rng.uniform(0.0, TWO_PI)
-    offsets = {Receiver.PROVIDER: rng.uniform(0.0, TWO_PI),
-               Receiver.ADVERSARY: rng.uniform(0.0, TWO_PI)}
-    adversary_snr = provider_snr_db + rng.uniform(-config.adversary_snr_jitter_db,
-                                                  config.adversary_snr_jitter_db)
-    snrs = {Receiver.PROVIDER: provider_snr_db, Receiver.ADVERSARY: adversary_snr}
-    drift_phase = {rx: _signed_magnitude(rng.uniform(-1, 1), config.drift.phase_bound_rad)
-                   for rx in Receiver}
-    drift_power = {rx: _signed_magnitude(rng.uniform(-1, 1), config.drift.power_fraction)
-                   for rx in Receiver}
-    device = DeviceProfile(id=uid, phase_shift_rad=dev_phase, transmit_power=1.0,
-                           modulation=modulation, authorized=authorized)
-    links = {}
-    for rx in Receiver:
-        gain = snr_to_received_power(snrs[rx], config.noise.noise_floor) / device.transmit_power
-        links[(rx, Epoch.TRAIN)] = ChannelLink(
-            tx_id=uid, rx_id=rx, gain=gain, phase_offset_rad=offsets[rx])
-        links[(rx, Epoch.TEST)] = ChannelLink(
-            tx_id=uid, rx_id=rx, gain=gain * (1.0 + drift_power[rx]),
-            phase_offset_rad=wrap_phase(offsets[rx] + drift_phase[rx]))
-    return UserChannels(device=device, links=links)
-
-
-def _mimic_authorized(unauthorized, authorized, config, rng) -> list[UserChannels]:
-    """Rewrite unauthorized users' phases to imitate an authorized signature.
-
-    Each mimic matches its chosen target's collection-epoch combined phase
-    per receiver, up to the configured calibration error. Gains are left as
-    drawn; mimic links are identical at both epochs since these users never
-    transmit while the training data is recorded.
-    """
-    mimics = []
-    for user in unauthorized:
-        target = authorized[int(rng.integers(0, len(authorized)))]
-        links = {}
-        for rx in Receiver:
-            phase_err = rng.uniform(-config.mimic.phase_err_rad, config.mimic.phase_err_rad)
-            combined = wrap_phase(target.combined_phase(rx, Epoch.TEST) + phase_err)
-            link = ChannelLink(
-                tx_id=user.device.id, rx_id=rx,
-                gain=user.link(rx, Epoch.TEST).gain,
-                phase_offset_rad=wrap_phase(combined - user.device.phase_shift_rad))
-            for epoch in Epoch:
-                links[(rx, epoch)] = link
-        mimics.append(UserChannels(device=user.device, links=links))
-    return mimics
-
-
-def _replace_link(user: UserChannels, rx: Receiver, epoch: Epoch, *,
-                  gain=None, phase_offset=None) -> UserChannels:
-    old = user.link(rx, epoch)
-    new = ChannelLink(
-        tx_id=old.tx_id, rx_id=rx,
-        gain=old.gain if gain is None else gain,
-        phase_offset_rad=old.phase_offset_rad if phase_offset is None else phase_offset)
-    links = dict(user.links)
-    links[(rx, epoch)] = new
-    return UserChannels(device=user.device, links=links)
+    return nominal_db + rng.permutation(slots) + jitter
 
 
 def apply_scenario_constraints(config: ScenarioConfig) -> Population:
     """Resolve the user population with the scenario's equality constraints.
+
+    Every user draws a device phase, a link phase per receiver, an adversary
+    SNR jitter and a signed epoch drift in phase and power per receiver; the
+    collection-epoch links are the training-epoch links after that drift.
+    Unauthorized users then mimic an authorized user's collection-epoch
+    combined phase (MimicModel) with the same link at both epochs, since
+    they never transmit while the training data is recorded.
 
     same-power pins every QPSK user's received power to the nominal scenario
     power at the provider, to one shared draw at the adversary, and freezes
@@ -320,71 +265,57 @@ def apply_scenario_constraints(config: ScenarioConfig) -> Population:
     device-plus-channel phase shift. BPSK users are never constrained.
     """
     rng = np.random.default_rng((config.seed, S_POPULATION))
+    users, floor = config.users, config.noise.noise_floor
     snr_auth = config.effective_snr_authorized_db
-    spread = config.provider_snr_spread_db
+    spread, jitter = config.provider_snr_spread_db, config.adversary_snr_jitter_db
+    auth, _, unauth = _groups(users)
 
     # The classifier-relevant users (authorized QPSK and other BPSK) get
     # deliberately spaced provider-side powers within one cohort per nominal
     # SNR. Unauthorized users are drawn uniformly in the same band, so their
     # powers may collide with authorized ones.
-    cohort_snrs = []
     if snr_auth == config.snr_others_db:
-        joint = _spaced_snrs(snr_auth, config.users.authorized + config.users.other_bpsk,
-                             spread, rng)
-        cohort_snrs = [joint[:config.users.authorized], joint[config.users.authorized:]]
+        cohorts = [_spaced_snrs(snr_auth, users.authorized + users.other_bpsk, spread, rng)]
     else:
-        cohort_snrs = [_spaced_snrs(snr_auth, config.users.authorized, spread, rng),
-                       _spaced_snrs(config.snr_others_db, config.users.other_bpsk,
-                                    spread, rng)]
-    unauth_snrs = [config.snr_others_db + rng.uniform(-spread, spread)
-                   for _ in range(config.users.unauthorized_qpsk)]
+        cohorts = [_spaced_snrs(snr_auth, users.authorized, spread, rng),
+                   _spaced_snrs(config.snr_others_db, users.other_bpsk, spread, rng)]
+    provider_snr = list(np.concatenate(cohorts)) + [
+        config.snr_others_db + rng.uniform(-spread, spread)
+        for _ in range(users.unauthorized_qpsk)]
 
-    groups = []
-    uid = 1
-    for snr_list, modulation, authorized in (
-            (cohort_snrs[0], Modulation.QPSK, True),
-            (cohort_snrs[1], Modulation.BPSK, False),
-            (unauth_snrs, Modulation.QPSK, False)):
-        group = []
-        for snr_db in snr_list:
-            group.append(_build_user(uid, snr_db, modulation, authorized, config, rng))
-            uid += 1
-        groups.append(group)
-    population = Population(authorized=groups[0], other_bpsk=groups[1],
-                            unauthorized_qpsk=_mimic_authorized(groups[2], groups[0],
-                                                                config, rng))
+    # Per user, in row order: device phase, provider and adversary link
+    # phases, adversary SNR jitter, then phase and power drift per receiver.
+    draws = rng.uniform([0.0, 0.0, 0.0, -jitter, -1, -1, -1, -1],
+                        [TWO_PI, TWO_PI, TWO_PI, jitter, 1, 1, 1, 1],
+                        size=(len(provider_snr), 8))
+    device_phase, offsets = draws[:, 0], draws[:, 1:3]
+    drift_phase = _signed_magnitude(draws[:, 4:6], config.drift.phase_bound_rad)
+    drift_power = _signed_magnitude(draws[:, 6:8], config.drift.power_fraction)
+    # one scalar power per link: numpy's array power can differ in the last bit
+    gain = np.array([[snr_to_received_power(snr, floor), snr_to_received_power(snr + dj, floor)]
+                     for snr, dj in zip(provider_snr, draws[:, 3])])
+    link_phase = np.stack([offsets, wrap_phase(offsets + drift_phase)], axis=-1)
+    power = np.stack([gain, gain * (1.0 + drift_power)], axis=-1)
 
+    targets, errors = [], []
+    for _ in unauth:
+        targets.append(int(rng.integers(0, len(auth))))
+        errors.append(rng.uniform(-config.mimic.phase_err_rad, config.mimic.phase_err_rad,
+                                  size=len(RECEIVERS)))
+    combined = wrap_phase(device_phase[targets, None] + link_phase[targets, :, Epoch.TEST])
+    mimic = wrap_phase(wrap_phase(combined + errors) - device_phase[unauth, None])
+    link_phase[unauth] = mimic[:, :, None]
+    power[unauth] = power[unauth, :, Epoch.TEST, None]
+
+    qpsk = np.concatenate([auth, unauth])
     if config.scenario is Scenario.SAME_POWER:
-        nominal = snr_to_received_power(snr_auth, config.noise.noise_floor)
-        adv_shared = snr_to_received_power(
-            snr_auth + rng.uniform(-config.adversary_snr_jitter_db,
-                                   config.adversary_snr_jitter_db),
-            config.noise.noise_floor)
-        target = {Receiver.PROVIDER: nominal, Receiver.ADVERSARY: adv_shared}
-
-        def constrain(user):
-            for rx in Receiver:
-                gain = target[rx] / user.device.transmit_power
-                for epoch in Epoch:
-                    user = _replace_link(user, rx, epoch, gain=gain)
-            return user
+        nominal = snr_to_received_power(snr_auth, floor)
+        adv_shared = snr_to_received_power(snr_auth + rng.uniform(-jitter, jitter), floor)
+        power[qpsk] = np.array([nominal, adv_shared])[:, None]
     elif config.scenario is Scenario.SAME_PHASE:
-        shared = {Receiver.PROVIDER: rng.uniform(0.0, TWO_PI),
-                  Receiver.ADVERSARY: rng.uniform(0.0, TWO_PI)}
-
-        def constrain(user):
-            for rx in Receiver:
-                offset = wrap_phase(shared[rx] - user.device.phase_shift_rad)
-                for epoch in Epoch:
-                    user = _replace_link(user, rx, epoch, phase_offset=offset)
-            return user
-    else:
-        return population
-
-    return Population(
-        authorized=[constrain(u) for u in population.authorized],
-        other_bpsk=list(population.other_bpsk),
-        unauthorized_qpsk=[constrain(u) for u in population.unauthorized_qpsk])
+        shared = rng.uniform(0.0, TWO_PI, size=len(RECEIVERS))
+        link_phase[qpsk] = wrap_phase(shared - device_phase[qpsk, None])[:, :, None]
+    return Population(device_phase=device_phase, link_phase=link_phase, power=power)
 
 
 @dataclass(frozen=True)
@@ -410,37 +341,19 @@ def dataset_lengths(config: ScenarioConfig) -> dict:
             "unauthorized_provider_views": c.nonmember_eval - c.nonmember_eval // 2}
 
 
-def _sample_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, stream, index))
+def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int) -> np.ndarray:
+    """Observation noise of n transmissions seen by views receivers: (n, views, 2, 16).
 
-
-def _paired_sample(user: UserChannels, epoch: Epoch, noise, rng):
-    """(provider, adversary) observations of one transmission, each (phases, powers)."""
-    return transmit_paired(
-        user.device,
-        user.link(Receiver.PROVIDER, epoch),
-        user.link(Receiver.ADVERSARY, epoch),
-        PILOT_BITS[user.device.modulation], noise, rng)
-
-
-def _single_sample(user: UserChannels, rx: Receiver, epoch: Epoch, noise, rng):
-    base = modulate(PILOT_BITS[user.device.modulation], user.device.modulation)
-    return propagate(base, user.device, user.link(rx, epoch), noise, rng)
-
-
-def _signals(observations, users, view: Receiver, member: bool = False) -> Signals:
-    """Stack (phases, powers) observations, one per user in users, into a table."""
-    phases, powers = zip(*observations)
-    return Signals(phases=np.array(phases), powers=np.array(powers),
-                   tx_id=[u.device.id for u in users],
-                   class_label=[int(u.device.authorized) for u in users],
-                   view=view, member=member)
-
-
-def _pairs(observations, users, member: bool = False) -> Pairs:
-    return Pairs(
-        provider=_signals([p for p, _ in observations], users, Receiver.PROVIDER, member),
-        adversary=_signals([a for _, a in observations], users, Receiver.ADVERSARY, member))
+    Row i is drawn from its own substream (seed, stream, i): per view, the
+    phase noise and then the power noise, uniform per symbol within the
+    model's bounds. So any sample can be regenerated alone.
+    """
+    bound = np.array([[noise.phase_bound_rad], [noise.power_bound]])
+    block = np.empty((n, views, 2, SYMBOLS_PER_SAMPLE))
+    for i in range(n):
+        block[i] = np.random.default_rng((seed, stream, i)).uniform(
+            -bound, bound, size=block.shape[1:])
+    return block
 
 
 def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
@@ -452,32 +365,56 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     nonmember_eval: half fresh authorized QPSK, half unauthorized QPSK, all
     adversary views at the collection epoch. surrogate and test traffic are
     fresh paired transmissions at the collection epoch.
+
+    Each dataset stream is one block of population rows: the i-th row's
+    noise comes from substream (seed, stream, i).
     """
     population = apply_scenario_constraints(config)
-    noise, seed, counts = config.noise, config.seed, config.counts
-    auth = population.authorized
-    others = population.other_bpsk
-    unauth = population.unauthorized_qpsk
+    seed, counts = config.seed, config.counts
+    auth, others, unauth = _groups(config.users)
+    pilots = np.array([PILOT_PHASES[Modulation.QPSK]] * len(auth)
+                      + [PILOT_PHASES[Modulation.BPSK]] * len(others)
+                      + [PILOT_PHASES[Modulation.QPSK]] * len(unauth))
 
-    def cycle(users, n):
-        return [users[i % len(users)] for i in range(n)]
+    def cycle(group, n):
+        return group[np.arange(n) % len(group)]
 
-    def draw(sample, users, stream, *where):
-        """One observation per user, the i-th on substream (seed, stream, i)."""
-        return [sample(user, *where, noise, _sample_rng(seed, stream, i))
-                for i, user in enumerate(users)]
+    def observe(stream, rows, epoch, view=None):
+        """Every row's transmission: (phases, powers) at view, or both views' if None."""
+        rx = [0, 1] if view is None else [RECEIVERS.index(view)]
+        noise = stream_noise(config.noise, seed, stream, len(rows), len(rx))
+        base, device = pilots[rows], population.device_phase[rows]
+        link = population.link_phase[rows[:, None], rx, epoch]
+        power = population.power[rows[:, None], rx, epoch]
+        if view is None:
+            return transmit_paired(base, device, link, power, noise)
+        return propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])
+
+    def signals(rows, observation, view, member=False):
+        phases, powers = observation
+        return Signals(phases=phases, powers=powers, tx_id=rows + 1,
+                       class_label=rows < len(auth), view=view, member=member)
+
+    def pairs(rows, observations, member=False):
+        provider, adversary = observations
+        return Pairs(provider=signals(rows, provider, Receiver.PROVIDER, member),
+                     adversary=signals(rows, adversary, Receiver.ADVERSARY, member))
+
+    def joined(*observations):
+        """One (phases, powers) of several, row blocks in order."""
+        return tuple(map(np.concatenate, zip(*observations)))
 
     def fresh_pairs(stream, n):
         """Half authorized, then half other users, at the collection epoch."""
-        users = cycle(auth, n // 2) + cycle(others, n - n // 2)
-        return _pairs(draw(_paired_sample, users, stream, Epoch.TEST), users)
+        rows = np.concatenate([cycle(auth, n // 2), cycle(others, n - n // 2)])
+        return pairs(rows, observe(stream, rows, Epoch.TEST))
 
     n_class1 = counts.provider_train // 2
     class1 = cycle(auth, n_class1)
     class0 = cycle(others, counts.provider_train - n_class1)
-    class1_obs = draw(_paired_sample, class1, S_TRAIN_C1, Epoch.TRAIN)
-    class0_obs = draw(_single_sample, class0, S_TRAIN_C0, Receiver.PROVIDER, Epoch.TRAIN)
-    train_pairs = _pairs(class1_obs, class1, member=True)
+    class1_obs = observe(S_TRAIN_C1, class1, Epoch.TRAIN)
+    class0_obs = observe(S_TRAIN_C0, class0, Epoch.TRAIN, Receiver.PROVIDER)
+    train_pairs = pairs(class1, class1_obs, member=True)
 
     choice_rng = np.random.default_rng((seed, S_MEMBER_CHOICE))
     member_indices = np.sort(choice_rng.permutation(n_class1)[:counts.member_eval])
@@ -485,22 +422,21 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     n_fresh_auth = counts.nonmember_eval // 2
     fresh_auth = cycle(auth, n_fresh_auth)
     mimics = cycle(unauth, counts.nonmember_eval - n_fresh_auth)
-    fresh_obs = draw(_single_sample, fresh_auth, S_NONMEMBER_AUTH, Receiver.ADVERSARY,
-                     Epoch.TEST)
-    mimic_obs = draw(_paired_sample, mimics, S_NONMEMBER_UNAUTH, Epoch.TEST)
+    fresh_obs = observe(S_NONMEMBER_AUTH, fresh_auth, Epoch.TEST, Receiver.ADVERSARY)
+    mimic_obs = observe(S_NONMEMBER_UNAUTH, mimics, Epoch.TEST)
 
     return DataBundle(
         config=config,
-        provider_train=_signals([p for p, _ in class1_obs] + class0_obs, class1 + class0,
-                                Receiver.PROVIDER, member=True),
+        provider_train=signals(np.concatenate([class1, class0]),
+                               joined(class1_obs[0], class0_obs), Receiver.PROVIDER,
+                               member=True),
         train_pairs_class1=train_pairs,
         member_eval=train_pairs.adversary.take(member_indices),
-        nonmember_eval=_signals(fresh_obs + [a for _, a in mimic_obs], fresh_auth + mimics,
-                                Receiver.ADVERSARY),
+        nonmember_eval=signals(np.concatenate([fresh_auth, mimics]),
+                               joined(fresh_obs, mimic_obs[1]), Receiver.ADVERSARY),
         surrogate_pairs=fresh_pairs(S_SURROGATE, counts.surrogate_train),
         test_pairs=fresh_pairs(S_TEST, counts.provider_test),
-        unauthorized_provider_views=_signals([p for p, _ in mimic_obs], mimics,
-                                             Receiver.PROVIDER),
+        unauthorized_provider_views=signals(mimics, mimic_obs[0], Receiver.PROVIDER),
     )
 
 

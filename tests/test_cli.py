@@ -95,6 +95,19 @@ class TestUsageErrors:
         assert dispatch(["gen", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{group}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out_dir", [5, ["x"], True])
+    @pytest.mark.parametrize("command", [["gen"], ["run-all", "--seeds", "1,2,3"]])
+    def test_non_string_out_dir_is_config_error(self, tmp_path, out_dir, command, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = config_to_document(small_config())
+        doc["out_dir"] = out_dir
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch([*command, "--config", str(path)]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     @pytest.mark.parametrize("key,value", [
         ("snr_authorized_db", "nan"), ("snr_authorized_db", float("inf")),
         ("noise.phase_bound_rad", float("nan")), ("drift.power_fraction", float("-inf")),

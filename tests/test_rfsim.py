@@ -5,8 +5,6 @@ import pytest
 
 from airmia.errors import InvalidInputError
 from airmia.rfsim import (
-    ChannelLink,
-    DeviceProfile,
     Modulation,
     NoiseModel,
     Pairs,
@@ -18,6 +16,7 @@ from airmia.rfsim import (
     snr_to_received_power,
     transmit_paired,
 )
+from airmia.scenarios import stream_noise
 
 PI = math.pi
 
@@ -28,16 +27,15 @@ def circular_distance(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def make_device(phase=0.0, power=1.0, modulation=Modulation.QPSK, uid=1, authorized=True):
-    return DeviceProfile(id=uid, phase_shift_rad=phase, transmit_power=power,
-                         modulation=modulation, authorized=authorized)
+def rows(n, value):
+    return np.full(n, value, dtype=float)
 
 
-def make_link(tx_id=1, rx=Receiver.PROVIDER, gain=1.0, phase=0.0):
-    return ChannelLink(tx_id=tx_id, rx_id=rx, gain=gain, phase_offset_rad=phase)
+def zero_noise(n, views=None):
+    return np.zeros((n, 2, 16) if views is None else (n, views, 2, 16))
 
 
-NO_NOISE = NoiseModel(phase_bound_rad=0.0, power_bound=0.0, noise_floor=1.0)
+NOISE = NoiseModel(phase_bound_rad=0.1, power_bound=1.0)
 
 
 def make_signals(rng, n, tx_id=None, class_label=None, view=Receiver.PROVIDER):
@@ -79,110 +77,77 @@ class TestModulate:
 
 class TestPropagate:
     def test_zero_offsets_pass_through(self):
-        device = make_device(phase=0.0, power=1.0)
-        link = make_link(gain=10.0)
-        rng = np.random.default_rng(0)
-        phases, powers = propagate([PI / 4], device, link, NO_NOISE, rng)
-        assert phases.tolist() == [PI / 4]
-        assert powers.tolist() == [10.0]
+        phases, powers = propagate(np.array([PI / 4]), rows(1, 0.0), rows(1, 0.0),
+                                   rows(1, 10.0), zero_noise(1)[:, :, :1])
+        assert phases.tolist() == [[PI / 4]]
+        assert powers.tolist() == [[10.0]]
 
     def test_additive_phase_composition(self):
-        device = make_device(phase=1.0)
-        link = make_link(phase=0.5)
-        phases, _ = propagate([0.0], device, link, NO_NOISE, np.random.default_rng(0))
-        assert phases.tolist() == [1.5]
+        phases, _ = propagate(np.zeros((2, 16)), np.array([1.0, 0.25]), np.array([0.5, 2.0]),
+                              rows(2, 1.0), zero_noise(2))
+        assert (phases[0] == 1.5).all() and (phases[1] == 2.25).all()
 
     def test_noise_stays_within_bounds(self):
-        # Monte-Carlo bound check: 700 x 16 symbols > 1e4 draws
-        device = make_device(phase=2.0)
-        link = make_link(gain=10.0, phase=1.0)
-        noise = NoiseModel(phase_bound_rad=0.1, power_bound=1.0)
-        clean, _ = propagate(np.zeros(16), device, link, NO_NOISE, np.random.default_rng(0))
-        for i in range(700):
-            phases, powers = propagate(np.zeros(16), device, link, noise,
-                                       np.random.default_rng(i))
-            assert circular_distance(phases, clean).max() <= 0.1 + 1e-12
-            assert np.abs(powers - 10.0).max() <= 1.0 + 1e-12
+        # Monte-Carlo bound check: 700 rows x 16 symbols > 1e4 draws
+        n = 700
+        args = (np.zeros(16), rows(n, 2.0), rows(n, 1.0), rows(n, 10.0))
+        clean, _ = propagate(*args, zero_noise(n))
+        phases, powers = propagate(*args, stream_noise(NOISE, 0, 0, n, 1)[:, 0])
+        assert circular_distance(phases, clean).max() <= 0.1 + 1e-12
+        assert np.abs(powers - 10.0).max() <= 1.0 + 1e-12
 
     def test_powers_clipped_at_zero(self):
-        device = make_device(power=0.5)
-        link = make_link(gain=1.0)
-        noise = NoiseModel(phase_bound_rad=0.0, power_bound=1.0)
-        for i in range(50):
-            _, powers = propagate(np.zeros(16), device, link, noise, np.random.default_rng(i))
-            assert (powers >= 0.0).all()
-
-    def test_mismatched_tx_id_rejected(self):
-        with pytest.raises(InvalidInputError):
-            propagate([0.0], make_device(uid=1), make_link(tx_id=2),
-                      NO_NOISE, np.random.default_rng(0))
+        noise = stream_noise(NoiseModel(phase_bound_rad=0.0, power_bound=1.0), 0, 0, 50, 1)
+        _, powers = propagate(np.zeros(16), rows(50, 0.0), rows(50, 0.0), rows(50, 0.5),
+                              noise[:, 0])
+        assert (powers >= 0.0).all() and (powers == 0.0).any()
 
     def test_deterministic_per_seed(self):
-        device = make_device(phase=1.2)
-        link = make_link(gain=3.0, phase=0.7)
-        noise = NoiseModel()
-        a = propagate(np.zeros(16), device, link, noise, np.random.default_rng(42))
-        b = propagate(np.zeros(16), device, link, noise, np.random.default_rng(42))
+        args = (np.zeros(16), rows(20, 1.2), rows(20, 0.7), rows(20, 3.0))
+        a = propagate(*args, stream_noise(NoiseModel(), 42, 3, 20, 1)[:, 0])
+        b = propagate(*args, stream_noise(NoiseModel(), 42, 3, 20, 1)[:, 0])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestPhaseWrapInvariance:
     def test_adding_two_pi_leaves_features_unchanged(self):
         # float addition of 2*pi is itself lossy, so compare at a few ulps
-        noise = NoiseModel()
-        rng_draws = np.random.default_rng(7)
-        for trial in range(200):
-            phase = rng_draws.uniform(0, TWO_PI)
-            link_phase = rng_draws.uniform(0, TWO_PI)
-            base = rng_draws.uniform(0, TWO_PI, size=16)
-            samples = []
-            for dev_phase, lk_phase in ((phase, link_phase),
-                                        (phase + TWO_PI, link_phase),
-                                        (phase, link_phase + TWO_PI)):
-                device = make_device(phase=dev_phase)
-                link = make_link(gain=2.0, phase=lk_phase)
-                samples.append(propagate(base, device, link, noise,
-                                         np.random.default_rng(trial)))
-            for phases, powers in samples[1:]:
-                assert circular_distance(samples[0][0], phases).max() < 5e-15
-                assert np.array_equal(samples[0][1], powers)
+        n = 200
+        draws = np.random.default_rng(7)
+        phase, link_phase = draws.uniform(0, TWO_PI, n), draws.uniform(0, TWO_PI, n)
+        base = draws.uniform(0, TWO_PI, size=(n, 16))
+        noise = stream_noise(NoiseModel(), 7, 0, n, 1)[:, 0]
+        samples = [propagate(base, dev_phase, lk_phase, rows(n, 2.0), noise)
+                   for dev_phase, lk_phase in ((phase, link_phase),
+                                               (phase + TWO_PI, link_phase),
+                                               (phase, link_phase + TWO_PI))]
+        for phases, powers in samples[1:]:
+            assert circular_distance(samples[0][0], phases).max() < 5e-15
+            assert np.array_equal(samples[0][1], powers)
 
 
 class TestTransmitPaired:
     def test_identical_links_zero_noise_match(self):
-        device = make_device(phase=0.3)
-        pl = make_link(rx=Receiver.PROVIDER, gain=2.0, phase=1.0)
-        al = make_link(rx=Receiver.ADVERSARY, gain=2.0, phase=1.0)
-        provider, adversary = transmit_paired(device, pl, al, [0, 0] * 16, NO_NOISE,
-                                              np.random.default_rng(0))
+        provider, adversary = transmit_paired(
+            np.zeros(16), rows(3, 0.3), np.full((3, 2), 1.0), np.full((3, 2), 2.0),
+            zero_noise(3, views=2))
         assert np.array_equal(provider[0], adversary[0])
         assert np.array_equal(provider[1], adversary[1])
 
     def test_per_link_power_scaling(self):
-        device = make_device(power=2.0)
-        pl = make_link(rx=Receiver.PROVIDER, gain=5.0)
-        al = make_link(rx=Receiver.ADVERSARY, gain=2.5)
         (_, provider_powers), (_, adversary_powers) = transmit_paired(
-            device, pl, al, [0, 1] * 16, NO_NOISE, np.random.default_rng(0))
+            np.zeros(16), rows(3, 0.0), np.zeros((3, 2)), np.array([[10.0, 5.0]] * 3),
+            zero_noise(3, views=2))
         assert (provider_powers == 10.0).all()
         assert (adversary_powers == 5.0).all()
 
     def test_independent_noise_differs_in_every_feature(self):
-        device = make_device()
-        pl = make_link(gain=2.0)
-        al = make_link(rx=Receiver.ADVERSARY, gain=2.0)
-        noise = NoiseModel(phase_bound_rad=0.1, power_bound=1.0)
         for seed in range(20):
-            provider, adversary = transmit_paired(device, pl, al, [0, 0] * 16, noise,
-                                                  np.random.default_rng(seed))
+            provider, adversary = transmit_paired(
+                np.zeros(16), rows(1, 0.0), np.zeros((1, 2)), np.full((1, 2), 2.0),
+                stream_noise(NOISE, seed, 0, 1, 2))
             assert (provider[0] != adversary[0]).all()
             assert (provider[1] != adversary[1]).all()
-
-    def test_mismatched_ids_rejected(self):
-        with pytest.raises(InvalidInputError):
-            transmit_paired(make_device(uid=1), make_link(tx_id=1),
-                            make_link(tx_id=2, rx=Receiver.ADVERSARY),
-                            [0, 0], NO_NOISE, np.random.default_rng(0))
 
 
 class TestSnrToReceivedPower:
@@ -202,16 +167,6 @@ class TestSnrToReceivedPower:
 
 
 class TestTypes:
-    def test_device_wraps_phase_and_validates_power(self):
-        d = make_device(phase=TWO_PI + 0.25)
-        assert 0 <= d.phase_shift_rad < TWO_PI
-        with pytest.raises(InvalidInputError):
-            make_device(power=0.0)
-
-    def test_link_validates_gain(self):
-        with pytest.raises(InvalidInputError):
-            make_link(gain=-0.1)
-
     def test_noise_model_validation(self):
         with pytest.raises(InvalidInputError):
             NoiseModel(phase_bound_rad=-0.1)

@@ -16,10 +16,14 @@ from airmia.rfsim import (
     Pairs,
     Receiver,
     Signals,
+    modulate,
     snr_to_received_power,
+    transmit_paired,
+    wrap_phase,
 )
 from airmia.scenarios import (
     PILOT_BITS,
+    S_TRAIN_C1,
     DriftModel,
     Epoch,
     MimicModel,
@@ -41,6 +45,20 @@ from conftest import small_config
 
 def features_set(samples):
     return {row.tobytes() for row in np.hstack([samples.phases, samples.powers])}
+
+
+def user_rows(config):
+    """Population table rows of the authorized, other BPSK and unauthorized users."""
+    a, o, u = config.users.authorized, config.users.other_bpsk, config.users.unauthorized_qpsk
+    return np.arange(a), np.arange(a, a + o), np.arange(a + o, a + o + u)
+
+
+def combined_phase(population):
+    """Device plus link phase per (user, receiver, epoch)."""
+    return wrap_phase(population.device_phase[:, None, None] + population.link_phase)
+
+
+PROVIDER, ADVERSARY = 0, 1  # the receiver axis of the population table
 
 
 class TestConfigValidation:
@@ -138,60 +156,65 @@ class TestScenarioConstraints:
     def test_same_power_pins_qpsk_received_power(self):
         config = small_config(scenario=Scenario.SAME_POWER)
         pop = apply_scenario_constraints(config)
-        for rx in Receiver:
+        auth, others, unauth = user_rows(config)
+        qpsk = np.concatenate([auth, unauth])
+        for rx in (PROVIDER, ADVERSARY):
             for epoch in Epoch:
-                powers = [u.received_power(rx, epoch) for u in pop.qpsk_users]
+                powers = pop.power[qpsk, rx, epoch]
                 assert max(powers) - min(powers) == 0.0
         # provider side sits exactly at the nominal scenario power
         nominal = snr_to_received_power(10.0, 1.0)
-        assert pop.authorized[0].received_power(Receiver.PROVIDER, Epoch.TRAIN) == nominal
+        assert pop.power[auth[0], PROVIDER, Epoch.TRAIN] == nominal
         # BPSK users stay unconstrained
-        bpsk = [u.received_power(Receiver.PROVIDER, Epoch.TRAIN) for u in pop.other_bpsk]
+        bpsk = pop.power[others, PROVIDER, Epoch.TRAIN]
         assert max(bpsk) - min(bpsk) > 0.0
 
     def test_same_phase_pins_combined_phase(self):
         config = small_config(scenario=Scenario.SAME_PHASE)
         pop = apply_scenario_constraints(config)
-        for rx in Receiver:
+        auth, _, unauth = user_rows(config)
+        combined = combined_phase(pop)
+        for rx in (PROVIDER, ADVERSARY):
             for epoch in Epoch:
-                phases = [u.combined_phase(rx, epoch) for u in pop.qpsk_users]
+                phases = combined[np.concatenate([auth, unauth]), rx, epoch]
                 assert max(phases) - min(phases) < 1e-12
         # powers still differ across users
-        powers = [u.received_power(Receiver.PROVIDER, Epoch.TRAIN) for u in pop.authorized]
+        powers = pop.power[auth, PROVIDER, Epoch.TRAIN]
         assert max(powers) - min(powers) > 0.0
 
     def test_weak_authorized_snr_levels(self):
         config = small_config(scenario=Scenario.WEAK_AUTHORIZED)
         pop = apply_scenario_constraints(config)
+        auth, others, _ = user_rows(config)
         weak_nominal = snr_to_received_power(3.0, 1.0)
         assert abs(weak_nominal - 1.9953) < 1e-4
         lo, hi = 10 ** ((3 - 2.25) / 10), 10 ** ((3 + 2.25) / 10)
-        for u in pop.authorized:
-            assert lo <= u.received_power(Receiver.PROVIDER, Epoch.TRAIN) <= hi
-        for u in pop.other_bpsk:
-            assert u.received_power(Receiver.PROVIDER, Epoch.TRAIN) > hi
+        for power in pop.power[auth, PROVIDER, Epoch.TRAIN]:
+            assert lo <= power <= hi
+        for power in pop.power[others, PROVIDER, Epoch.TRAIN]:
+            assert power > hi
 
     def test_full_strong_leaves_powers_distinct(self):
-        pop = apply_scenario_constraints(small_config())
-        powers = sorted(u.received_power(Receiver.PROVIDER, Epoch.TRAIN)
-                        for u in pop.authorized + pop.other_bpsk)
+        config = small_config()
+        pop = apply_scenario_constraints(config)
+        auth, others, _ = user_rows(config)
+        powers = sorted(pop.power[np.concatenate([auth, others]), PROVIDER, Epoch.TRAIN])
         assert all(b - a > 0.1 for a, b in zip(powers, powers[1:]))
 
     def test_drift_moves_test_epoch_links(self):
-        pop = apply_scenario_constraints(small_config())
-        for u in pop.authorized:
-            for rx in Receiver:
-                assert u.link(rx, Epoch.TRAIN).gain != u.link(rx, Epoch.TEST).gain
-                assert u.link(rx, Epoch.TRAIN).phase_offset_rad != \
-                    u.link(rx, Epoch.TEST).phase_offset_rad
+        config = small_config()
+        pop = apply_scenario_constraints(config)
+        for u in user_rows(config)[0]:
+            for rx in (PROVIDER, ADVERSARY):
+                assert pop.power[u, rx, Epoch.TRAIN] != pop.power[u, rx, Epoch.TEST]
+                assert pop.link_phase[u, rx, Epoch.TRAIN] != pop.link_phase[u, rx, Epoch.TEST]
 
     def test_mimics_track_an_authorized_phase(self):
         config = small_config(mimic=MimicModel(phase_err_rad=0.05))
-        pop = apply_scenario_constraints(config)
-        for mimic in pop.unauthorized_qpsk:
-            phase = mimic.combined_phase(Receiver.ADVERSARY, Epoch.TEST)
-            gaps = [abs(phase - u.combined_phase(Receiver.ADVERSARY, Epoch.TEST))
-                    for u in pop.authorized]
+        combined = combined_phase(apply_scenario_constraints(config))[:, ADVERSARY, Epoch.TEST]
+        auth, _, unauth = user_rows(config)
+        for mimic in unauth:
+            gaps = [abs(combined[mimic] - combined[u]) for u in auth]
             assert min(gaps) <= 0.05 + 1e-12
 
 
@@ -208,9 +231,8 @@ class TestGenerateScenarioData:
 
     def test_class_one_exactly_on_authorized_rows(self, small_bundle):
         population = apply_scenario_constraints(small_bundle.config)
-        authorized = [u.device.id for u in population.authorized]
-        devices = {u.device.id for u in population.authorized + population.other_bpsk
-                   + population.unauthorized_qpsk}
+        authorized = user_rows(small_bundle.config)[0] + 1
+        devices = set(range(1, len(population.device_phase) + 1))
         b = small_bundle
         for table in (b.provider_train, b.member_eval, b.nonmember_eval,
                       b.unauthorized_provider_views, b.train_pairs_class1.provider,
@@ -240,8 +262,7 @@ class TestGenerateScenarioData:
         assert labels.sum() == c.nonmember_eval // 2  # fresh authorized half
         assert small_bundle.nonmember_eval.view is Receiver.ADVERSARY
         assert not small_bundle.nonmember_eval.member
-        population = apply_scenario_constraints(small_bundle.config)
-        unauth_ids = {u.device.id for u in population.unauthorized_qpsk}
+        unauth_ids = set((user_rows(small_bundle.config)[2] + 1).tolist())
         assert set(small_bundle.nonmember_eval.tx_id[labels == 0].tolist()) <= unauth_ids
 
     def test_member_eval_are_training_adversary_views(self, small_bundle):
@@ -290,17 +311,27 @@ class TestGenerateScenarioData:
     def test_samples_reproducible_from_their_substream(self, small_bundle):
         # counter-based substreams: any sample can be regenerated standalone,
         # so generation order or parallelism cannot change the output
-        from airmia.scenarios import Epoch, S_TRAIN_C1, _paired_sample, _sample_rng
-
         config = small_bundle.config
-        auth = apply_scenario_constraints(config).authorized
-        for index in (0, 7, len(small_bundle.train_pairs_class1) - 1):
-            rng = _sample_rng(config.seed, S_TRAIN_C1, index)
-            (phases, _), (_, powers) = _paired_sample(auth[index % len(auth)], Epoch.TRAIN,
-                                                      config.noise, rng)
-            stored = small_bundle.train_pairs_class1
-            assert np.array_equal(phases, stored.provider.phases[index])
-            assert np.array_equal(powers, stored.adversary.powers[index])
+        population = apply_scenario_constraints(config)
+        e_phi, e_p = config.noise.phase_bound_rad, config.noise.power_bound
+        stored = small_bundle.train_pairs_class1
+        for index in (0, 7, len(stored) - 1):
+            rng = np.random.default_rng((config.seed, S_TRAIN_C1, index))
+            provider_phase = rng.uniform(-e_phi, e_phi, 16)
+            provider_power = rng.uniform(-e_p, e_p, 16)
+            adversary_phase = rng.uniform(-e_phi, e_phi, 16)
+            adversary_power = rng.uniform(-e_p, e_p, 16)
+            noise = np.array([[[provider_phase, provider_power],
+                               [adversary_phase, adversary_power]]])
+            row = [index % config.users.authorized]  # class 1 cycles the authorized rows
+            provider, adversary = transmit_paired(
+                modulate(PILOT_BITS[Modulation.QPSK], Modulation.QPSK),
+                population.device_phase[row], population.link_phase[row, :, Epoch.TRAIN],
+                population.power[row, :, Epoch.TRAIN], noise)
+            assert np.array_equal(provider[0][0], stored.provider.phases[index])
+            assert np.array_equal(provider[1][0], stored.provider.powers[index])
+            assert np.array_equal(adversary[0][0], stored.adversary.phases[index])
+            assert np.array_equal(adversary[1][0], stored.adversary.powers[index])
 
 
 class TestCsvRoundTrip:
