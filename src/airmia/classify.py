@@ -1,17 +1,17 @@
 """Training and evaluation of the provider's classifier and the adversary's surrogate.
 
-Both networks share the [32, 100, 100, 100, 2] architecture. The provider's
-target is fit on its own received training data with ground-truth labels;
-the surrogate is fit on adversary-side views of fresh transmissions, labeled
-by whether the provider's classifier granted access to the matching
-provider-side view.
+Both networks share the [32, 100, 100, 100, 2] architecture and one fit. The
+provider's target is fit on its own received training data with ground-truth
+labels; the surrogate is fit on adversary-side views of fresh transmissions,
+labeled by whether the provider's classifier granted access to the matching
+provider-side view (surrogate_training_set).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,17 +109,16 @@ def _check_balance(labels: np.ndarray, role: str) -> None:
             f"{role} training data class balance {frac:.3f} outside [0.45, 0.55]")
 
 
-def train_target(train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
-    """Fit the provider's classifier; report held-out accuracy on test_samples."""
+def _fit(role: str, train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
+    """Fit one classifier on train_samples' labels; report accuracy on both sets."""
     x = features_matrix(train_samples)
-    y = train_samples.class_label
-    _check_balance(y, "target")
+    _check_balance(train_samples.class_label, role)
     started = time.perf_counter()
     net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)
-    net, history = train_supervised(net, x, y, hyper)
+    net, history = train_supervised(net, x, train_samples.class_label, hyper)
     elapsed = time.perf_counter() - started
     report = ClassifierReport(
-        role="target",
+        role=role,
         train_accuracy=classification_accuracy(net, train_samples),
         test_accuracy=classification_accuracy(net, test_samples),
         loss_history=history,
@@ -130,36 +129,22 @@ def train_target(train_samples: Signals, test_samples: Signals, hyper: TrainHype
     return net, report
 
 
-def observed_access_labels(pairs: Pairs, target: DenseNetwork) -> np.ndarray:
-    """Labels as the adversary observes them: the target's grant decisions."""
-    return predicted_labels(target, pairs.provider)
+def train_target(train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
+    """Fit the provider's classifier; report held-out accuracy on test_samples."""
+    return _fit("target", train_samples, test_samples, hyper)
+
+
+def surrogate_training_set(pairs: Pairs, target: DenseNetwork) -> Signals:
+    """The adversary's views, labeled by the target's grant on the provider's views."""
+    return replace(pairs.adversary, class_label=predicted_labels(target, pairs.provider))
 
 
 def train_surrogate(pairs: Pairs, target: DenseNetwork, test_samples, hyper: TrainHyper):
     """Fit the adversary's stand-in classifier from observed access grants.
 
-    Inputs are adversary-side views; labels come from the target's decision
-    on the matching provider-side view. test_samples are fresh adversary
-    views scored against ground-truth classes.
+    test_samples are fresh adversary views scored against ground-truth classes.
     """
-    y = observed_access_labels(pairs, target)
-    _check_balance(y, "surrogate")
-    x = features_matrix(pairs.adversary)
-    started = time.perf_counter()
-    net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)
-    net, history = train_supervised(net, x, y, hyper)
-    elapsed = time.perf_counter() - started
-    train_acc = float(np.mean(predicted_labels(net, pairs.adversary) == y))
-    report = ClassifierReport(
-        role="surrogate",
-        train_accuracy=train_acc,
-        test_accuracy=classification_accuracy(net, test_samples),
-        loss_history=history,
-        dataset_sizes={"train": len(pairs), "test": len(test_samples)},
-        seed=hyper.seed,
-        train_seconds=elapsed,
-    )
-    return net, report
+    return _fit("surrogate", surrogate_training_set(pairs, target), test_samples, hyper)
 
 
 def paired_agreement(target: DenseNetwork, surrogate: DenseNetwork, pairs: Pairs) -> float:

@@ -95,12 +95,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _load_cell(args):
+    """(cell, bundle) of the resolved cell; its config.json must equal the resolved config."""
     config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
     cell = harness.cell_dir(out_dir, config)
-    bundle = harness.load_datasets(cell, config)
+    bundle = harness.load_datasets(cell)
+    resolved, stored = (scenarios.config_to_document(c) for c in (config, bundle.config))
+    differ = [key for key in resolved if resolved[key] != stored[key]]
+    if differ:
+        raise InvalidConfigError(f"config differs from {cell / 'config.json'} in "
+                                 f"{', '.join(differ)}")
+    return cell, bundle
+
+
+def _cmd_train(args) -> int:
+    cell, bundle = _load_cell(args)
     target, target_report, surrogate, surrogate_report = harness.train_classifiers(
-        bundle, harness.PipelineHyper.for_config(config))
+        bundle, harness.PipelineHyper.for_config(bundle.config))
     harness.save_classifiers(cell, target, target_report, surrogate, surrogate_report)
     print(f"target test accuracy    {target_report.test_accuracy:.4f}")
     print(f"surrogate test accuracy {surrogate_report.test_accuracy:.4f}")
@@ -108,10 +119,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
-    cell = harness.cell_dir(out_dir, config)
-    bundle = harness.load_datasets(cell, config)
-    model, report = harness.attack(bundle, harness.PipelineHyper.for_config(config),
+    cell, bundle = _load_cell(args)
+    model, report = harness.attack(bundle, harness.PipelineHyper.for_config(bundle.config),
                                    *harness.load_classifiers(cell))
     harness.save_attack(cell, model, report)
     _print_report_summary(report)

@@ -6,7 +6,9 @@ volatile fields, and artifacts are written atomically (write-then-rename).
 run_scenario and the staged CLI commands share the stages
 (train_classifiers, attack) and the writers (save_datasets,
 save_classifiers, save_attack); reevaluate_artifacts shares attack's
-held-out evaluation.
+held-out evaluation and the classifiers' scorer. load_datasets is the one
+reader of a cell's config.json: the staged commands, load_artifacts and
+reevaluate_artifacts all take the config from it.
 
 Artifact layout per run: <out>/<scenario>/<seed>/
     config.json
@@ -187,8 +189,13 @@ def save_artifacts(out_dir, bundle: DataBundle, target, surrogate, mia_model,
     return cell
 
 
-def load_datasets(cell, config: ScenarioConfig) -> DataBundle:
-    """Read the dataset CSVs; each must hold the rows config implies."""
+def load_datasets(cell) -> DataBundle:
+    """The cell's datasets under its config.json; each CSV must hold the rows it implies."""
+    config_path = Path(cell) / "config.json"
+    try:
+        config = scenarios.config_from_document(read_json(config_path, "config"))
+    except InvalidConfigError as exc:
+        raise ArtifactError(f"{config_path}: {exc}") from exc
     directory = Path(cell) / "datasets"
     expected, tables = scenarios.dataset_lengths(config), {}
     for name, kind in _DATASETS:
@@ -365,12 +372,7 @@ def ordering_summary(reports) -> dict:
 def load_artifacts(directory) -> dict:
     """Load every persisted artifact of one scenario run."""
     directory = Path(directory)
-    config_path = directory / "config.json"
-    try:
-        config = scenarios.config_from_document(read_json(config_path, "config"))
-    except InvalidConfigError as exc:
-        raise ArtifactError(f"{config_path}: {exc}") from exc
-    bundle = load_datasets(directory, config)
+    bundle = load_datasets(directory)
     target, target_report, surrogate, surrogate_report = load_classifiers(directory)
     return {
         "datasets": bundle,
@@ -401,9 +403,6 @@ def reevaluate_artifacts(directory) -> dict:
     """Recompute every evaluation number from persisted datasets and models."""
     art = load_artifacts(directory)
     bundle, target, surrogate = art["datasets"], art["target"], art["surrogate"]
-    observed = classify.observed_access_labels(bundle.surrogate_pairs, target)
-    surrogate_train_acc = float(np.mean(
-        classify.predicted_labels(surrogate, bundle.surrogate_pairs.adversary) == observed))
     dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
                                    derive_seed(bundle.config.seed, "split"))
     confusion, agreement, unauthorized_rate = _held_out_numbers(
@@ -413,7 +412,8 @@ def reevaluate_artifacts(directory) -> dict:
             target, bundle.provider_train),
         "target_test_accuracy": classify.classification_accuracy(
             target, bundle.test_pairs.provider),
-        "surrogate_train_accuracy": surrogate_train_acc,
+        "surrogate_train_accuracy": classify.classification_accuracy(
+            surrogate, classify.surrogate_training_set(bundle.surrogate_pairs, target)),
         "surrogate_test_accuracy": classify.classification_accuracy(
             surrogate, bundle.test_pairs.adversary),
         "mia_accuracy": confusion.accuracy,

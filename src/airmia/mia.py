@@ -55,6 +55,9 @@ class MiaModel:
             raise InvalidInputError(
                 f"inference model input dim must be {MIA_INPUT_DIM}, "
                 f"got {self.network.input_dim}")
+        t = self.decision_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t < 1.0:
+            raise InvalidInputError(f"decision_threshold must be a number in (0, 1), got {t!r}")
 
 
 def mia_inputs(samples: Signals, surrogate: DenseNetwork) -> np.ndarray:
@@ -276,4 +279,4 @@ def load_mia_model(path) -> MiaModel:
     return parse_document(
         read_json(path, "inference model"), MIA_FORMAT_VERSION, path, "inference model",
         lambda doc: MiaModel(network=network_from_document(doc["network"], source=str(path)),
-                             decision_threshold=float(doc["decision_threshold"])))
+                             decision_threshold=doc["decision_threshold"]))

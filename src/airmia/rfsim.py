@@ -47,7 +47,8 @@ BPSK_PHASES = {0: 0.0, 1: math.pi}
 
 def wrap_phase(x):
     """Wrap an angle (scalar or array) into [0, 2*pi)."""
-    return np.mod(x, TWO_PI)
+    wrapped = np.mod(x, TWO_PI)  # rounds a tiny negative x up to exactly 2*pi
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)[()]
 
 
 @dataclass(frozen=True)

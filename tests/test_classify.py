@@ -112,10 +112,22 @@ class TestTraining:
         assert rep.loss_history == first.loss_history
 
     def test_surrogate_labels_follow_observed_access(self, small_bundle, small_classifiers):
-        labels = classify.observed_access_labels(small_bundle.surrogate_pairs,
-                                                 small_classifiers["target"])
+        labels = classify.surrogate_training_set(small_bundle.surrogate_pairs,
+                                                 small_classifiers["target"]).class_label
         assert labels.shape == (len(small_bundle.surrogate_pairs),)
         assert set(np.unique(labels)) <= {0, 1}
+
+    def test_surrogate_training_set_is_the_labeled_adversary_view(self, small_bundle,
+                                                                  small_classifiers):
+        pairs, target = small_bundle.surrogate_pairs, small_classifiers["target"]
+        table = classify.surrogate_training_set(pairs, target)
+        adversary = pairs.adversary
+        assert np.array_equal(table.phases, adversary.phases)
+        assert np.array_equal(table.powers, adversary.powers)
+        assert np.array_equal(table.tx_id, adversary.tx_id)
+        assert (table.view, table.member) == (adversary.view, adversary.member)
+        assert np.array_equal(table.class_label,
+                              classify.predicted_labels(target, pairs.provider))
 
     def test_paired_agreement_bounds(self, small_bundle, small_classifiers):
         agreement = classify.paired_agreement(small_classifiers["target"],

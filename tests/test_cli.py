@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -146,6 +147,29 @@ class TestStagedPipeline:
         report = harness.load_report_file(cell / "report.json")
         assert 0.0 <= report.mia_accuracy <= 1.0
 
+    def test_staged_commands_train_under_the_cell_config(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["gen", "--config", str(config_file), "--out", str(out)]) == 0
+        cell = out / "full-strong" / "41"
+        doc = json.loads(config_file.read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({
+            **doc, "drift": {"phase_bound_rad": 0.0, "power_fraction": 0.0},
+            "noise": {**doc["noise"], "phase_bound_rad": 0.3}}))
+        for command in ("train", "attack"):
+            assert dispatch([command, "--config", str(other), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config.json" in err and "drift" in err and "noise" in err
+            assert not (cell / "models").exists()
+        # 10 and 10.0 are one value; the report then echoes config.json's spelling
+        respelled = tmp_path / "respelled.json"
+        respelled.write_text(json.dumps({**doc, "snr_authorized_db": 10}))
+        assert dispatch(["train", "--config", str(config_file), "--out", str(out)]) == 0
+        assert dispatch(["attack", "--config", str(respelled), "--out", str(out)]) == 0
+        stored = json.loads((cell / "config.json").read_text())
+        echoed = json.loads((cell / "report.json").read_text())["config"]
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(stored, sort_keys=True)
+
     def test_generation_failure_names_the_stage_on_both_paths(
             self, config_file, tmp_path, monkeypatch, capsys):
         def fail(config):
@@ -167,8 +191,9 @@ class TestStagedPipeline:
     def test_surrogate_class_imbalance_is_runtime_error_on_both_paths(
             self, config_file, tmp_path, monkeypatch, capsys):
         # a target that grants everyone leaves the surrogate one class to learn
-        monkeypatch.setattr(classify, "observed_access_labels",
-                            lambda pairs, target: np.ones(len(pairs), dtype=int))
+        monkeypatch.setattr(classify, "surrogate_training_set", lambda pairs, target:
+                            dataclasses.replace(pairs.adversary,
+                                                class_label=np.ones(len(pairs), dtype=int)))
         argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
         assert dispatch(["gen", *argv]) == 0
         for command in ("train", "run"):

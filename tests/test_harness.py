@@ -191,7 +191,7 @@ READERS = {
             init_network(mia.MIA_DIMS, OutputHead.SIGMOID_SCALAR, 0))}, "decision_threshold"),
     "scenario-report": (harness.load_report_file, "report.json",
                         lambda: scenario_report().to_document(), "paired_agreement"),
-    "config": (lambda path: harness.load_artifacts(path.parent), "config.json",
+    "config": (lambda path: harness.load_datasets(path.parent), "config.json",
                lambda: config_to_document(small_config()), "seed"),
 }
 

@@ -271,6 +271,17 @@ class TestMiaModelPersistence:
         assert all(np.array_equal(a, b) for a, b in
                    zip(model.network.weights, back.network.weights))
 
+    @pytest.mark.parametrize("threshold", [math.nan, 7.0, -1.0, "0.5"])
+    def test_threshold_outside_unit_interval_names_the_file(self, tmp_path, threshold):
+        model = mia.MiaModel(network=init_network(mia.MIA_DIMS,
+                                                  OutputHead.SIGMOID_SCALAR, 4))
+        path = tmp_path / "mia.json"
+        mia.save_mia_model(model, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "decision_threshold": threshold}))
+        with pytest.raises(ArtifactError, match="mia.json.*decision_threshold"):
+            mia.load_mia_model(path)
+
 
 class TestNullAttackSmallScale:
     def test_same_distribution_sets_give_chance_accuracy(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from airmia.errors import InvalidInputError
 from airmia.rfsim import (
@@ -15,6 +17,7 @@ from airmia.rfsim import (
     propagate,
     snr_to_received_power,
     transmit_paired,
+    wrap_phase,
 )
 from airmia.scenarios import stream_noise
 
@@ -110,6 +113,17 @@ class TestPropagate:
 
 
 class TestPhaseWrapInvariance:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e-17)
+    @example(-1e-300)
+    @example(-4e-16)
+    def test_wrap_lands_in_half_open_range(self, x):
+        # np.mod alone rounds a tiny negative angle up to exactly 2*pi
+        wrapped = wrap_phase(x)
+        assert isinstance(wrapped, np.floating)
+        assert 0.0 <= wrapped < TWO_PI
+        assert wrap_phase(np.array([x])).tolist() == [wrapped]
+
     def test_adding_two_pi_leaves_features_unchanged(self):
         # float addition of 2*pi is itself lossy, so compare at a few ulps
         n = 200
