@@ -141,6 +141,11 @@ _DATASETS = (("provider_train", "samples"), ("train_pairs_class1", "pairs"),
             ("surrogate_pairs", "pairs"), ("test_pairs", "pairs"),
             ("unauthorized_provider_views", "samples"))
 
+# The files of a cell that later stages derive from its datasets.
+_DERIVED = ("models/target.json", "models/surrogate.json", "models/mia.json",
+            "models/target_report.json", "models/surrogate_report.json",
+            "report.json", "confusion.json", "confusion.csv", "timings.json")
+
 
 def write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -151,7 +156,13 @@ def cell_dir(out_dir, config: ScenarioConfig) -> Path:
 
 
 def save_datasets(bundle: DataBundle, cell) -> None:
-    """Write the dataset CSVs under <cell>/datasets, then config.json."""
+    """Write the dataset CSVs under <cell>/datasets, then config.json.
+
+    First removes every file derived from earlier datasets of the cell, so a
+    regenerated cell holds no models or reports of other data.
+    """
+    for name in _DERIVED:
+        (Path(cell) / name).unlink(missing_ok=True)
     directory = Path(cell) / "datasets"
     directory.mkdir(parents=True, exist_ok=True)
     for name, kind in _DATASETS:
@@ -407,17 +418,14 @@ def reevaluate_artifacts(directory) -> dict:
                                    derive_seed(bundle.config.seed, "split"))
     confusion, agreement, unauthorized_rate = _held_out_numbers(
         bundle, dataset, target, surrogate, art["mia_model"])
-    return {
-        "target_train_accuracy": classify.classification_accuracy(
-            target, bundle.provider_train),
-        "target_test_accuracy": classify.classification_accuracy(
-            target, bundle.test_pairs.provider),
-        "surrogate_train_accuracy": classify.classification_accuracy(
-            surrogate, classify.surrogate_training_set(bundle.surrogate_pairs, target)),
-        "surrogate_test_accuracy": classify.classification_accuracy(
-            surrogate, bundle.test_pairs.adversary),
-        "mia_accuracy": confusion.accuracy,
-        "mia_counts": confusion.counts.tolist(),
-        "paired_agreement": agreement,
-        "unauthorized_grant_rate": unauthorized_rate,
-    }
+    accuracy, report = classify.classification_accuracy, art["report"]
+    surrogate_train = classify.surrogate_training_set(bundle.surrogate_pairs, target)
+    return evaluation_numbers(replace(
+        report, confusion=confusion, paired_agreement=agreement,
+        unauthorized_grant_rate=unauthorized_rate,
+        target_report=replace(report.target_report,
+                              train_accuracy=accuracy(target, bundle.provider_train),
+                              test_accuracy=accuracy(target, bundle.test_pairs.provider)),
+        surrogate_report=replace(report.surrogate_report,
+                                 train_accuracy=accuracy(surrogate, surrogate_train),
+                                 test_accuracy=accuracy(surrogate, bundle.test_pairs.adversary))))

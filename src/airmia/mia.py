@@ -6,29 +6,28 @@ matching provider-side signal was in the target classifier's training data.
 It is fit by gradient ascent on the equally weighted empirical gain
     G = 1/2 * mean_members log m + 1/2 * mean_nonmembers log(1 - m),
 which is maximized at 0 by a perfect separator and at log 1/2 by any
-constant model when the two sets share one distribution.
+constant model when the two sets share one distribution. The ascent is
+tinynn.minibatch_adam, the loop that fits the classifiers, run on -G.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArtifactError, InvalidConfigError, InvalidInputError
 from .tinynn import (
-    AdamState,
     DenseNetwork,
     OutputHead,
     PROB_FLOOR,
     TrainHyper,
-    adam_step,
+    adam_step,  # unused here; perfbench's test_tracer_catches_calls_made_from_mia reads it
     atomic_write_text,
-    backward,
     forward_batch,
     init_network,
+    minibatch_adam,
     model_document,
     network_from_document,
     parse_document,
@@ -162,9 +161,13 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
                        n_train / (2.0 * (~is_member).sum()))
 
     net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, hyper.seed)
-    state = AdamState.for_network(net, learning_rate=hyper.learning_rate)
-    rng = np.random.default_rng((hyper.seed, 1))
-    history = {"train": [], "test": []}
+
+    def output_grad(idx, out):
+        m = out[:, 0]
+        g = np.where(is_member[idx],
+                     -1.0 / np.maximum(m, PROB_FLOOR),
+                     1.0 / np.maximum(1.0 - m, PROB_FLOOR))
+        return (g * weights[idx] / idx.size)[:, None]
 
     def gains():
         mem_out, _ = forward_batch(net, x_members)
@@ -177,26 +180,9 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
                            non_probs[dataset.nonmember_test_idx]),
         )
 
-    for epoch in range(1, hyper.epochs + 1):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            out, cache = forward_batch(net, x_train[idx])
-            m = out[:, 0]
-            g = np.where(is_member[idx],
-                         -1.0 / np.maximum(m, PROB_FLOOR),
-                         1.0 / np.maximum(1.0 - m, PROB_FLOOR))
-            g_out = (g * weights[idx] / idx.size)[:, None]
-            grads = backward(net, cache, g_out)
-            adam_step(net, grads, state)
-        train_gain, test_gain = gains()
-        if not (math.isfinite(train_gain) and math.isfinite(test_gain)
-                and np.isfinite(net.params).all()):
-            raise InvalidInputError(f"non-finite gain or parameters after epoch {epoch}")
-        history["train"].append(train_gain)
-        history["test"].append(test_gain)
-
-    return MiaModel(network=net), history
+    history = minibatch_adam(net, x_train, hyper, output_grad, gains, "gain")
+    return MiaModel(network=net), {"train": [train for train, _ in history],
+                                   "test": [test for _, test in history]}
 
 
 @dataclass(frozen=True)

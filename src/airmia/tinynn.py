@@ -1,9 +1,9 @@
 """Minimal dense feedforward network engine.
 
 Double-precision numpy throughout: plain matmul forward, hand-written
-reverse-mode gradients, Adam updates, and a central-difference gradient
-oracle used by the test suite. Two output heads are supported: a two-way
-softmax posterior and a scalar sigmoid.
+reverse-mode gradients, Adam updates, and one mini-batch Adam loop
+(minibatch_adam) that fits every network. Two output heads are supported: a
+two-way softmax posterior and a scalar sigmoid.
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
@@ -205,14 +205,6 @@ def forward_batch(net: DenseNetwork, inputs: np.ndarray):
     return activations[-1], (activations, pre_acts)
 
 
-def cross_entropy_loss(posterior, label: int) -> float:
-    """-log posterior[label], probabilities floored at 1e-12 before the log."""
-    posterior = np.asarray(posterior, dtype=float)
-    if label not in (0, 1):
-        raise InvalidInputError(f"label must be 0 or 1, got {label}")
-    return float(-np.log(max(posterior[label], PROB_FLOOR)))
-
-
 def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> np.ndarray:
     """Reverse-mode gradients given d(loss)/d(output) per batch row.
 
@@ -276,6 +268,34 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     return net, state
 
 
+def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, output_grad,
+                   epoch_end, what: str) -> list:
+    """Mini-batch Adam over the rows of x; net.params is updated in place.
+
+    Each epoch visits the rows in a fresh permutation drawn from
+    (hyper.seed, 1), hyper.batch_size rows at a time. output_grad(idx, out)
+    returns d(loss)/d(output) for the rows idx given their outputs out.
+    epoch_end() returns the epoch's metric (a number or a tuple of numbers),
+    which must be finite, as must the parameters; the error names `what`.
+    Returns the per-epoch metrics.
+    """
+    n = x.shape[0]
+    rng = np.random.default_rng((hyper.seed, 1))
+    state = AdamState.for_network(net, learning_rate=hyper.learning_rate)
+    history = []
+    for epoch in range(1, hyper.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
+            out, cache = forward_batch(net, x[idx])
+            grads = backward(net, cache, output_grad(idx, out))
+            adam_step(net, grads, state)
+        history.append(epoch_end())
+        if not (np.isfinite(history[-1]).all() and np.isfinite(net.params).all()):
+            raise InvalidInputError(f"non-finite {what} or parameters after epoch {epoch}")
+    return history
+
+
 def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
     """Mini-batch Adam on cross-entropy. Returns (net, per-epoch loss history)."""
     if net.output_head is not OutputHead.SOFTMAX2:
@@ -286,79 +306,24 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
         raise InvalidInputError("training set must be a non-empty (n, d) array")
     if y.shape != (x.shape[0],) or not np.isin(y, (0, 1)).all():
         raise InvalidInputError("labels must be a vector of 0/1 matching the inputs")
-    n = x.shape[0]
-    rng = np.random.default_rng((hyper.seed, 1))
-    state = AdamState.for_network(net, learning_rate=hyper.learning_rate)
     onehot = np.eye(2)[y]
-    history = []
-    for epoch in range(1, hyper.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            out, cache = forward_batch(net, x[idx])
-            p_label = np.maximum(out[np.arange(idx.size), y[idx]], PROB_FLOOR)
-            loss_sum += float(-np.log(p_label).sum())
-            # d(mean CE)/d(posterior): -onehot/p per row, averaged over the batch
-            g_out = -(onehot[idx] / np.maximum(out, PROB_FLOOR)) / idx.size
-            g_out[onehot[idx] == 0] = 0.0
-            grads = backward(net, cache, g_out)
-            adam_step(net, grads, state)
-        history.append(loss_sum / n)
-        if not (math.isfinite(history[-1]) and np.isfinite(net.params).all()):
-            raise InvalidInputError(f"non-finite loss or parameters after epoch {epoch}")
-    return net, history
+    loss_sum = 0.0
 
+    def output_grad(idx, out):
+        nonlocal loss_sum
+        p_label = np.maximum(out[np.arange(idx.size), y[idx]], PROB_FLOOR)
+        loss_sum += float(-np.log(p_label).sum())
+        # d(mean CE)/d(posterior): -onehot/p per row, averaged over the batch
+        g_out = -(onehot[idx] / np.maximum(out, PROB_FLOOR)) / idx.size
+        g_out[onehot[idx] == 0] = 0.0
+        return g_out
 
-def numeric_gradient(loss_fn, arr: np.ndarray, epsilon: float) -> np.ndarray:
-    """Central-difference gradient of loss_fn with respect to each entry of arr."""
-    if not epsilon > 0:
-        raise InvalidInputError("epsilon must be positive")
-    g = np.zeros_like(arr)
-    for idx in np.ndindex(arr.shape):
-        orig = arr[idx]
-        arr[idx] = orig + epsilon
-        f_plus = loss_fn()
-        arr[idx] = orig - epsilon
-        f_minus = loss_fn()
-        arr[idx] = orig
-        g[idx] = (f_plus - f_minus) / (2 * epsilon)
-    return g
+    def mean_loss():
+        nonlocal loss_sum
+        mean, loss_sum = loss_sum / x.shape[0], 0.0
+        return mean
 
-
-def _head_loss_and_grad(net: DenseNetwork, x: np.ndarray, target: int):
-    # gradient of the floored loss: zero once the probability hits the floor
-    out, cache = forward_batch(net, x[None, :])
-    if net.output_head is OutputHead.SOFTMAX2:
-        loss = cross_entropy_loss(out[0], target)
-        g = np.zeros((1, 2))
-        p = out[0, target]
-        g[0, target] = -1.0 / p if p > PROB_FLOOR else 0.0
-    else:
-        m = out[0, 0]
-        if target == 1:
-            loss = float(-np.log(max(m, PROB_FLOOR)))
-            g = np.array([[-1.0 / m if m > PROB_FLOOR else 0.0]])
-        else:
-            loss = float(-np.log(max(1.0 - m, PROB_FLOOR)))
-            g = np.array([[1.0 / (1.0 - m) if 1.0 - m > PROB_FLOOR else 0.0]])
-    return loss, cache, g
-
-
-def grad_check(net: DenseNetwork, x, target: int, epsilon: float = 1e-5) -> float:
-    """Max relative error between backward and central differences.
-
-    The loss is the head's natural per-sample loss: cross-entropy against
-    `target` for softmax2, the membership log term (target = 1 for member)
-    for the sigmoid head.
-    """
-    x = np.asarray(x, dtype=float)
-    _, cache, g_out = _head_loss_and_grad(net, x, target)
-    analytic = backward(net, cache, g_out)
-    numeric = numeric_gradient(
-        lambda: _head_loss_and_grad(net, x, target)[0], net.params, epsilon)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())
+    return net, minibatch_adam(net, x, hyper, output_grad, mean_loss, "loss")
 
 
 def model_document(net: DenseNetwork) -> dict:

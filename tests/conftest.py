@@ -2,8 +2,72 @@ import numpy as np
 import pytest
 
 from airmia import classify, harness, scenarios, tinynn
+from airmia.errors import InvalidInputError
 from airmia.scenarios import Scenario, ScenarioConfig, ScenarioCounts
-from airmia.tinynn import OutputHead
+from airmia.tinynn import PROB_FLOOR, DenseNetwork, OutputHead
+
+
+# ---------------------------------------------------------------------------
+# Gradient oracle: central differences against tinynn.backward
+# ---------------------------------------------------------------------------
+
+def cross_entropy_loss(posterior, label: int) -> float:
+    """-log posterior[label], probabilities floored at 1e-12 before the log."""
+    posterior = np.asarray(posterior, dtype=float)
+    if label not in (0, 1):
+        raise InvalidInputError(f"label must be 0 or 1, got {label}")
+    return float(-np.log(max(posterior[label], PROB_FLOOR)))
+
+
+def numeric_gradient(loss_fn, arr: np.ndarray, epsilon: float) -> np.ndarray:
+    """Central-difference gradient of loss_fn with respect to each entry of arr."""
+    if not epsilon > 0:
+        raise InvalidInputError("epsilon must be positive")
+    g = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + epsilon
+        f_plus = loss_fn()
+        arr[idx] = orig - epsilon
+        f_minus = loss_fn()
+        arr[idx] = orig
+        g[idx] = (f_plus - f_minus) / (2 * epsilon)
+    return g
+
+
+def _head_loss_and_grad(net: DenseNetwork, x: np.ndarray, target: int):
+    # gradient of the floored loss: zero once the probability hits the floor
+    out, cache = tinynn.forward_batch(net, x[None, :])
+    if net.output_head is OutputHead.SOFTMAX2:
+        loss = cross_entropy_loss(out[0], target)
+        g = np.zeros((1, 2))
+        p = out[0, target]
+        g[0, target] = -1.0 / p if p > PROB_FLOOR else 0.0
+    else:
+        m = out[0, 0]
+        if target == 1:
+            loss = float(-np.log(max(m, PROB_FLOOR)))
+            g = np.array([[-1.0 / m if m > PROB_FLOOR else 0.0]])
+        else:
+            loss = float(-np.log(max(1.0 - m, PROB_FLOOR)))
+            g = np.array([[1.0 / (1.0 - m) if 1.0 - m > PROB_FLOOR else 0.0]])
+    return loss, cache, g
+
+
+def grad_check(net: DenseNetwork, x, target: int, epsilon: float = 1e-5) -> float:
+    """Max relative error between backward and central differences.
+
+    The loss is the head's natural per-sample loss: cross-entropy against
+    `target` for softmax2, the membership log term (target = 1 for member)
+    for the sigmoid head.
+    """
+    x = np.asarray(x, dtype=float)
+    _, cache, g_out = _head_loss_and_grad(net, x, target)
+    analytic = tinynn.backward(net, cache, g_out)
+    numeric = numeric_gradient(
+        lambda: _head_loss_and_grad(net, x, target)[0], net.params, epsilon)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def sample_checkable_network(rng, head):

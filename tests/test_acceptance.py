@@ -13,8 +13,8 @@ import numpy as np
 from airmia import classify, harness, mia, scenarios
 from airmia.cli import dispatch
 from airmia.scenarios import Scenario
-from airmia.tinynn import OutputHead, TrainHyper, init_network, grad_check
-from conftest import sample_checkable_network
+from airmia.tinynn import OutputHead, TrainHyper, init_network
+from conftest import grad_check, sample_checkable_network
 
 REFERENCE_STRONG_RATES = [[0.9152, 0.0848], [0.1429, 0.8571]]
 REFERENCE_WEAK_RATES = [[0.9129, 0.0871], [0.3728, 0.6272]]

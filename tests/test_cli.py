@@ -188,6 +188,20 @@ class TestStagedPipeline:
         assert dispatch(["attack", *argv]) == 1
         assert "target.json" in capsys.readouterr().err
 
+    def test_regenerated_cell_keeps_no_stale_models(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("gen", "train", "attack"):
+            assert dispatch([command, "--config", str(config_file), "--out", str(out)]) == 0
+        cell = out / "full-strong" / "41"
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**json.loads(config_file.read_text()),
+                                     "drift": {"phase_bound_rad": 0.0, "power_fraction": 0.0}}))
+        assert dispatch(["gen", "--config", str(other), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert dispatch(["attack", "--config", str(other), "--out", str(out)]) == 1
+        assert "target.json" in capsys.readouterr().err
+        assert not (cell / "report.json").exists()
+
     def test_surrogate_class_imbalance_is_runtime_error_on_both_paths(
             self, config_file, tmp_path, monkeypatch, capsys):
         # a target that grants everyone leaves the surrogate one class to learn
