@@ -24,7 +24,7 @@ from .tinynn import (
     POWER_SCALE,
     TrainHyper,
     atomic_write_text,
-    forward_batch,
+    infer,
     init_network,
     parse_document,
     read_json,
@@ -88,8 +88,7 @@ def load_report(path) -> ClassifierReport:
 
 
 def posterior_matrix(net: DenseNetwork, samples) -> np.ndarray:
-    out, _ = forward_batch(net, features_matrix(samples))
-    return out
+    return infer(net, features_matrix(samples))
 
 
 def predicted_labels(net: DenseNetwork, samples) -> np.ndarray:

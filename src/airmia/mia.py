@@ -25,7 +25,7 @@ from .tinynn import (
     TrainHyper,
     adam_step,  # unused here; perfbench's test_tracer_catches_calls_made_from_mia reads it
     atomic_write_text,
-    forward_batch,
+    infer,
     init_network,
     minibatch_adam,
     model_document,
@@ -67,8 +67,7 @@ def mia_inputs(samples: Signals, surrogate: DenseNetwork) -> np.ndarray:
 
 
 def membership_probabilities(model: MiaModel, surrogate: DenseNetwork, samples) -> np.ndarray:
-    out, _ = forward_batch(model.network, mia_inputs(samples, surrogate))
-    return out[:, 0]
+    return infer(model.network, mia_inputs(samples, surrogate))[:, 0]
 
 
 def empirical_gain(member_probs, nonmember_probs) -> float:
@@ -170,9 +169,7 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
         return (g * weights[idx] / idx.size)[:, None]
 
     def gains():
-        mem_out, _ = forward_batch(net, x_members)
-        non_out, _ = forward_batch(net, x_nonmembers)
-        mem_probs, non_probs = mem_out[:, 0], non_out[:, 0]
+        mem_probs, non_probs = infer(net, x_members)[:, 0], infer(net, x_nonmembers)[:, 0]
         return (
             empirical_gain(mem_probs[dataset.member_train_idx],
                            non_probs[dataset.nonmember_train_idx]),

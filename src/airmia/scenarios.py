@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
@@ -341,18 +342,142 @@ def dataset_lengths(config: ScenarioConfig) -> dict:
             "unauthorized_provider_views": c.nonmember_eval - c.nonmember_eval // 2}
 
 
+# numpy's SeedSequence hash constants, as (initial value, multiplier) pairs
+# for mixing entropy into the pool and for drawing state out of it, and its
+# pool mixing multipliers (numpy/random/bit_generator.pyx).
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves (numpy/random/src/pcg64).
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _entropy_words(value: int) -> list[int]:
+    """An entropy integer as SeedSequence splits it: uint32 words, least significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; its constant advances per call.
+
+    The constant's sequence depends only on the number of calls, never on
+    the data, so one call hashes the same word position of every row.
+    """
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_states(seed: int, stream: int, n: int) -> list:
+    """SeedSequence((seed, stream, i)).generate_state(4, np.uint64) for every i < n.
+
+    Returns the four state words, each an (n,) uint64 array. Row i's entropy
+    is the words of seed, then of stream, then i (one word for i < 2**32).
+    """
+    entropy = [np.full(n, word, dtype=np.uint32)
+               for word in _entropy_words(seed) + _entropy_words(stream)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(*_POOL_HASH)
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, dtype=np.uint32))
+            for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    draw = _hasher(*_STATE_HASH)
+    halves = [draw(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    return [halves[2 * k] | (halves[2 * k + 1] << _SHIFT32) for k in range(4)]
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products of the uint64 array a and the uint64 b."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _SHIFT32, b & _LOW32, b >> _SHIFT32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (carry >> _SHIFT32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc, modulo 2**128, on (high, low) uint64 halves."""
+    mult_hi, mult_lo = _PCG_MULT
+    return _add128(_mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo, lo * mult_lo,
+                   inc_hi, inc_lo)
+
+
+def _substream_doubles(seed: int, stream: int, n: int, count: int):
+    """Yield default_rng((seed, stream, i)).random() draws, one (n,) array per draw.
+
+    Lane i is PCG64 seeded by the SeedSequence of (seed, stream, i): the
+    generator's srandom step, then per draw one LCG step, the XSL-RR output
+    and next_double's top 53 bits times 2**-53.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = _seed_states(seed, stream, n)
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, state_hi, state_lo), inc_hi, inc_lo)
+    for _ in range(count):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        word, rot = hi ^ lo, hi >> np.uint64(58)
+        word = (word >> rot) | (word << ((np.uint64(64) - rot) & np.uint64(63)))
+        yield (word >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int) -> np.ndarray:
     """Observation noise of n transmissions seen by views receivers: (n, views, 2, 16).
 
     Row i is drawn from its own substream (seed, stream, i): per view, the
     phase noise and then the power noise, uniform per symbol within the
     model's bounds. So any sample can be regenerated alone.
+
+    Row i equals np.random.default_rng((seed, stream, i)).uniform(-bound,
+    bound, size=(views, 2, 16)), with bound the (phase, power) bounds as a
+    (2, 1) column; the tests keep that per-row loop as the oracle. All rows
+    are drawn at once: numpy's SeedSequence hash, PCG64 seeding and
+    stepping, next_double and uniform's low + (high - low) * d run as array
+    arithmetic over the rows, one output word at a time. The match is bit
+    for bit where numpy's C uniform rounds the multiply and the add
+    separately, as here; a numpy build that fuses them (FMA contraction)
+    may differ in the last bit. Checked on x86-64 with numpy 2.4.
     """
-    bound = np.array([[noise.phase_bound_rad], [noise.power_bound]])
+    bound = np.array([noise.phase_bound_rad, noise.power_bound], dtype=float)
+    low = -bound
+    span = bound - low
+    if not np.isfinite(span).all():
+        raise OverflowError("Range exceeds valid bounds")  # as Generator.uniform
     block = np.empty((n, views, 2, SYMBOLS_PER_SAMPLE))
-    for i in range(n):
-        block[i] = np.random.default_rng((seed, stream, i)).uniform(
-            -bound, bound, size=block.shape[1:])
+    lanes = block.reshape(n, views * 2 * SYMBOLS_PER_SAMPLE)  # each row's draws in order
+    for j, d in enumerate(_substream_doubles(seed, stream, n, lanes.shape[1])):
+        kind = j // SYMBOLS_PER_SAMPLE % 2  # phase or power
+        lanes[:, j] = low[kind] + span[kind] * d
     return block
 
 
@@ -480,35 +605,53 @@ def write_pairs_csv(pairs: Pairs, path) -> None:
         writer.writerows(chain.from_iterable(zip(_rows(pairs.provider), _rows(pairs.adversary))))
 
 
+# One parsed CSV row: sample_id, tx_id, class, member; the view's RECEIVERS
+# index; the phases then the powers.
+_CSV_ROW = np.dtype([("ints", int, (4,)), ("view", int),
+                     ("values", float, (2 * SYMBOLS_PER_SAMPLE,))])
+
+
+def _view_index(name: str) -> int:
+    return RECEIVERS.index(Receiver(name))  # an unknown name is a ValueError
+
+
 def _parse_rows(path, rows_per_id: int):
     """Parse a dataset CSV once into columns: (ints, values, views).
 
     ints is the (n, 4) block sample_id, tx_id, class, member; values the
-    (n, 32) phases then powers; views the (n,) view names. sample_id must
-    count up from 0, rows_per_id rows at a time.
+    (n, 32) phases then powers; views the (n,) RECEIVERS indices. sample_id
+    must count up from 0, rows_per_id rows at a time. np.loadtxt parses
+    each float as float() does, and skips empty lines.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != CSV_HEADER:
+            if next(csv.reader([fh.readline()]), None) != CSV_HEADER:
                 raise ArtifactError(f"{path}: unexpected CSV header")
-            rows = list(reader)
+            start = fh.tell()
+            if not any(line.strip() for line in iter(fh.readline, "")):
+                # checked here: np.loadtxt warns on input without data
+                raise ArtifactError(f"{path}: dataset has no rows")
+            fh.seek(start)
+            try:
+                with warnings.catch_warnings():
+                    # numpy 1.23-1.26 parse an integer field such as "1.5" as a
+                    # float and truncate it, with only this warning; as an
+                    # error, loadtxt reports the field as unconvertible
+                    warnings.filterwarnings("error", category=DeprecationWarning)
+                    rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None,
+                                      converters={4: _view_index}, ndmin=1,
+                                      encoding="utf-8")
+            except (ValueError, DeprecationWarning) as exc:
+                if "columns" in str(exc):  # numpy's message for a wrong field count
+                    raise ArtifactError(
+                        f"{path}: malformed row, not {len(CSV_HEADER)} fields ({exc})") from exc
+                raise ArtifactError(f"{path}: malformed row ({exc})") from exc
     except OSError as exc:
         raise ArtifactError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows:
-        raise ArtifactError(f"{path}: dataset has no rows")
-    if any(len(row) != len(CSV_HEADER) for row in rows):
-        raise ArtifactError(f"{path}: malformed row, not {len(CSV_HEADER)} fields")
-    n, width = len(rows), 2 * SYMBOLS_PER_SAMPLE
-    try:
-        ints = np.array([row[:4] for row in rows], dtype=int)
-        values = np.fromiter(map(float, chain.from_iterable(row[5:] for row in rows)),
-                             dtype=float, count=n * width).reshape(n, width)
-    except ValueError as exc:
-        raise ArtifactError(f"{path}: malformed row ({exc})") from exc
-    if not np.array_equal(ints[:, 0], np.arange(n) // rows_per_id):
+    ints = rows["ints"]
+    if not np.array_equal(ints[:, 0], np.arange(len(rows)) // rows_per_id):
         raise ArtifactError(f"{path}: sample_id does not count up from 0")
-    return ints, values, np.array([row[4] for row in rows])
+    return ints, rows["values"], rows["view"]
 
 
 def _table(path, columns, rows=slice(None)) -> Signals:
@@ -521,7 +664,7 @@ def _table(path, columns, rows=slice(None)) -> Signals:
         return Signals(phases=values[:, :SYMBOLS_PER_SAMPLE],
                        powers=values[:, SYMBOLS_PER_SAMPLE:],
                        tx_id=ints[:, 1], class_label=ints[:, 2],
-                       view=Receiver(view[0]), member=bool(members[0]))
+                       view=RECEIVERS[view[0]], member=bool(members[0]))
     except (ValueError, InvalidInputError) as exc:
         raise ArtifactError(f"{path}: malformed rows ({exc})") from exc
 

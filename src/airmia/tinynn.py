@@ -182,27 +182,46 @@ def _sigmoid_clipped(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -SIGMOID_Z_CLIP, SIGMOID_Z_CLIP)))
 
 
-def forward_batch(net: DenseNetwork, inputs: np.ndarray):
-    """Forward pass over a batch. Returns (outputs, cache) for backward."""
+def _input_batch(net: DenseNetwork, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise InvalidInputError(
             f"expected input of shape (n, {net.input_dim}), got {x.shape}")
-    activations = [x]
-    pre_acts = []
+    return x
+
+
+def _layers(net: DenseNetwork, x: np.ndarray):
+    """Yield each layer's (pre-activation, activation) for the batch x, in order."""
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
-        pre_acts.append(z)
         if i < last:
             a = np.maximum(0.0, z)
         elif net.output_head is OutputHead.SOFTMAX2:
             a = _softmax_rows(z)
         else:
             a = _sigmoid_clipped(z)
+        yield z, a
+
+
+def forward_batch(net: DenseNetwork, inputs: np.ndarray):
+    """Forward pass over a batch. Returns (outputs, cache) for backward."""
+    x = _input_batch(net, inputs)
+    activations = [x]
+    pre_acts = []
+    for z, a in _layers(net, x):
+        pre_acts.append(z)
         activations.append(a)
     return activations[-1], (activations, pre_acts)
+
+
+def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
+    """forward_batch's outputs, bit for bit, holding no layer but the current one."""
+    out = _input_batch(net, inputs)
+    for _, out in _layers(net, out):
+        pass
+    return out
 
 
 def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> np.ndarray:

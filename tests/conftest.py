@@ -93,6 +93,25 @@ def sample_checkable_network(rng, head):
         return net, x
 
 
+# ---------------------------------------------------------------------------
+# Noise oracle: one default_rng per row, the loop scenarios.stream_noise replaces
+# ---------------------------------------------------------------------------
+
+def stream_noise_oracle(noise, seed: int, stream: int, n: int, views: int) -> np.ndarray:
+    """Observation noise of n transmissions seen by views receivers: (n, views, 2, 16).
+
+    Row i is drawn from its own substream (seed, stream, i): per view, the
+    phase noise and then the power noise, uniform per symbol within the
+    model's bounds.
+    """
+    bound = np.array([[noise.phase_bound_rad], [noise.power_bound]])
+    block = np.empty((n, views, 2, scenarios.SYMBOLS_PER_SAMPLE))
+    for i in range(n):
+        block[i] = np.random.default_rng((seed, stream, i)).uniform(
+            -bound, bound, size=block.shape[1:])
+    return block
+
+
 def small_config(scenario=Scenario.FULL_STRONG, seed=11, **overrides) -> ScenarioConfig:
     """Reduced-count config for fast pipeline tests."""
     kwargs = dict(

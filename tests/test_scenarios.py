@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from airmia.rfsim import (
     wrap_phase,
 )
 from airmia.scenarios import (
+    CSV_HEADER,
     PILOT_BITS,
     S_TRAIN_C1,
     DriftModel,
@@ -37,10 +39,11 @@ from airmia.scenarios import (
     generate_scenario_data,
     read_pairs_csv,
     read_samples_csv,
+    stream_noise,
     write_pairs_csv,
     write_samples_csv,
 )
-from conftest import small_config
+from conftest import small_config, stream_noise_oracle
 
 
 def features_set(samples):
@@ -334,6 +337,35 @@ class TestGenerateScenarioData:
             assert np.array_equal(adversary[1][0], stored.adversary.powers[index])
 
 
+class TestStreamNoise:
+    """stream_noise draws every row at once; the per-row default_rng loop is the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 21, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5,
+                                      2 ** 64 + 3, 2 ** 130 + 7])
+    @pytest.mark.parametrize("stream", [1, 6])
+    @pytest.mark.parametrize("views", [1, 2])
+    def test_equals_per_row_generators(self, seed, stream, views):
+        noise = NoiseModel()
+        assert stream_noise(noise, seed, stream, 40, views).tobytes() == \
+            stream_noise_oracle(noise, seed, stream, 40, views).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 130), stream=st.integers(0, 2 ** 70),
+           n=st.integers(0, 300), views=st.sampled_from([1, 2]),
+           bounds=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e300))] * 2))
+    def test_equals_per_row_generators_property(self, seed, stream, n, views, bounds):
+        noise = NoiseModel(phase_bound_rad=bounds[0], power_bound=bounds[1])
+        fast = stream_noise(noise, seed, stream, n, views)
+        assert fast.shape == (n, views, 2, 16)
+        assert fast.tobytes() == stream_noise_oracle(noise, seed, stream, n, views).tobytes()
+
+    def test_overflowing_range_raises_like_uniform(self):
+        noise = NoiseModel(power_bound=1e308)
+        for draw in (stream_noise, stream_noise_oracle):
+            with np.errstate(over="ignore"), pytest.raises(OverflowError):
+                draw(noise, 3, 1, 2, 1)
+
+
 class TestCsvRoundTrip:
     def test_samples_round_trip_value_exact(self, small_bundle, tmp_path):
         path = tmp_path / "samples.csv"
@@ -377,6 +409,56 @@ class TestCsvRoundTrip:
         for read in (read_samples_csv, read_pairs_csv):
             with pytest.raises(ArtifactError, match="empty.csv"):
                 read(path)
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(CSV_HEADER) + "\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (read_samples_csv, read_pairs_csv):
+                with pytest.raises(ArtifactError, match="header.csv: dataset has no rows"):
+                    read(path)
+
+    def test_unknown_view_rejected(self, small_bundle, tmp_path):
+        path = tmp_path / "view.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        path.write_text(path.read_text().replace(",adversary,", ",eavesdropper,", 1))
+        with pytest.raises(ArtifactError, match="view.csv: malformed row .*eavesdropper"):
+            read_samples_csv(path)
+
+    # line 1 is the first data row, where numpy words a field-count error
+    # differently from a later row such as line 3
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda fields: fields[:-1], "malformed row, not 37 fields"),  # a field short
+        (lambda fields: fields + ["0.5"], "malformed row, not 37 fields"),  # a field too many
+        (lambda fields: fields[:1] + ["1.5"] + fields[2:], "malformed row"),  # a float tx_id
+        (lambda fields: fields[:5] + ["x"] + fields[6:], "malformed row"),  # a phase
+    ])
+    def test_malformed_row_rejected(self, small_bundle, tmp_path, edit, message, line):
+        path = tmp_path / "row.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line] = ",".join(edit(lines[line].rstrip("\r\n").split(","))) + "\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ArtifactError, match=f"row.csv: {message}"):
+            read_samples_csv(path)
+
+    def test_integer_parsed_via_float_is_malformed_row(self, small_bundle, tmp_path,
+                                                       monkeypatch):
+        # numpy 1.23-1.26 read "1.5" in an integer field as 1 and only warn
+        path = tmp_path / "row.csv"
+        write_samples_csv(small_bundle.member_eval, path)
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(ArtifactError, match="row.csv: malformed row .*via a float"):
+            read_samples_csv(path)
 
     @pytest.mark.parametrize("column,value", [(3, "0"), (4, "provider")])
     def test_mixed_member_flags_or_views_rejected(self, small_bundle, tmp_path,

@@ -17,6 +17,7 @@ from airmia.tinynn import (
     adam_step,
     backward,
     forward_batch,
+    infer,
     init_network,
     load_model,
     model_document,
@@ -111,8 +112,17 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         net = init_network([8, 4, 2], OutputHead.SOFTMAX2, 0)
-        with pytest.raises(InvalidInputError):
-            forward_batch(net, np.ones((1, 9)))
+        for forward in (forward_batch, infer):
+            with pytest.raises(InvalidInputError):
+                forward(net, np.ones((1, 9)))
+
+    @pytest.mark.parametrize("head", list(OutputHead))
+    def test_infer_equals_forward_batch_bit_for_bit(self, head):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            net = random_small_net(rng, head)
+            x = rng.normal(size=(int(rng.integers(1, 40)), net.input_dim))
+            assert infer(net, x).tobytes() == forward_batch(net, x)[0].tobytes()
 
 
 class TestCrossEntropy:
