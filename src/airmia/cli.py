@@ -24,7 +24,7 @@ from .tinynn import read_json
 OUT_DIR_ENV = "AIRMIA_OUT"
 
 
-def _resolve(args, *, need_scenario: bool, need_seed: bool):
+def _resolve(args, *, need_cell: bool):
     """Merge config file, environment, and flags into (config, out_dir, seeds)."""
     doc = read_json(args.config, "config") if args.config else {}
     if not isinstance(doc, dict):
@@ -40,9 +40,9 @@ def _resolve(args, *, need_scenario: bool, need_seed: bool):
         doc["scenario"] = args.scenario
     if args.seed is not None:
         doc["seed"] = args.seed
-    if need_scenario and "scenario" not in doc:
+    if need_cell and "scenario" not in doc:
         raise InvalidConfigError("no scenario given (use --scenario or a config file)")
-    if need_seed and "seed" not in doc:
+    if need_cell and "seed" not in doc:
         raise InvalidConfigError("no seed given (use --seed or a config file)")
     doc.setdefault("scenario", Scenario.FULL_STRONG.value)
     doc.setdefault("seed", 0)
@@ -86,7 +86,7 @@ def _print_report_summary(report: harness.ScenarioReport) -> None:
 
 
 def _cmd_gen(args) -> int:
-    config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
+    config, out_dir, _ = _resolve(args, need_cell=True)
     cell = harness.cell_dir(out_dir, config)
     bundle = harness.run_stage("generate", lambda: scenarios.generate_scenario_data(config))
     harness.save_datasets(bundle, cell)
@@ -97,7 +97,7 @@ def _cmd_gen(args) -> int:
 
 def _load_cell(args):
     """(cell, bundle) of the resolved cell; its config.json must equal the resolved config."""
-    config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
+    config, out_dir, _ = _resolve(args, need_cell=True)
     cell = harness.cell_dir(out_dir, config)
     bundle = harness.load_datasets(cell)
     resolved, stored = (scenarios.config_to_document(c) for c in (config, bundle.config))
@@ -128,7 +128,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config, out_dir, _ = _resolve(args, need_scenario=True, need_seed=True)
+    config, out_dir, _ = _resolve(args, need_cell=True)
     report = harness.run_scenario(config, out_dir=out_dir)
     _print_report_summary(report)
     print(f"report written to {harness.cell_dir(out_dir, config) / 'report.json'}")
@@ -136,7 +136,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    config, out_dir, seeds = _resolve(args, need_scenario=False, need_seed=False)
+    config, out_dir, seeds = _resolve(args, need_cell=False)
     seeds = _parse_seeds(seeds)
     started = time.perf_counter()
     reports, summary = harness.run_all(seeds, base_config=config, out_dir=out_dir)

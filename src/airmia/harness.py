@@ -135,12 +135,6 @@ def load_report_file(path) -> ScenarioReport:
 # Persistence
 # ---------------------------------------------------------------------------
 
-# The dataset CSVs of a cell, in DataBundle field order, with their row kind.
-_DATASETS = (("provider_train", "samples"), ("train_pairs_class1", "pairs"),
-            ("member_eval", "samples"), ("nonmember_eval", "samples"),
-            ("surrogate_pairs", "pairs"), ("test_pairs", "pairs"),
-            ("unauthorized_provider_views", "samples"))
-
 # The files of a cell that later stages derive from its datasets.
 _DERIVED = ("models/target.json", "models/surrogate.json", "models/mia.json",
             "models/target_report.json", "models/surrogate_report.json",
@@ -165,7 +159,7 @@ def save_datasets(bundle: DataBundle, cell) -> None:
         (Path(cell) / name).unlink(missing_ok=True)
     directory = Path(cell) / "datasets"
     directory.mkdir(parents=True, exist_ok=True)
-    for name, kind in _DATASETS:
+    for name, (kind, _) in scenarios.dataset_tables(bundle.config).items():
         write_csv = getattr(scenarios, f"write_{kind}_csv")
         atomic_write(directory / f"{name}.csv", partial(write_csv, getattr(bundle, name)))
     write_json(Path(cell) / "config.json", scenarios.config_to_document(bundle.config))
@@ -208,13 +202,13 @@ def load_datasets(cell) -> DataBundle:
     except InvalidConfigError as exc:
         raise ArtifactError(f"{config_path}: {exc}") from exc
     directory = Path(cell) / "datasets"
-    expected, tables = scenarios.dataset_lengths(config), {}
-    for name, kind in _DATASETS:
+    tables = {}
+    for name, (kind, length) in scenarios.dataset_tables(config).items():
         path = directory / f"{name}.csv"
         tables[name] = getattr(scenarios, f"read_{kind}_csv")(path)
-        if len(tables[name]) != expected[name]:
+        if len(tables[name]) != length:
             raise ArtifactError(f"{path}: {len(tables[name])} {kind}, config.json implies "
-                                f"{expected[name]}")
+                                f"{length}")
     return DataBundle(config=config, **tables)
 
 

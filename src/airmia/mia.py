@@ -37,7 +37,6 @@ from .classify import features_matrix, posterior_matrix
 from .rfsim import Signals
 
 MIA_DIMS = [34, 100, 100, 1]
-MIA_INPUT_DIM = 34
 
 MIA_FORMAT_VERSION = "1"
 
@@ -50,9 +49,9 @@ class MiaModel:
     def __post_init__(self):
         if self.network.output_head is not OutputHead.SIGMOID_SCALAR:
             raise InvalidInputError("inference model needs a sigmoid-scalar head")
-        if self.network.input_dim != MIA_INPUT_DIM:
+        if self.network.input_dim != MIA_DIMS[0]:
             raise InvalidInputError(
-                f"inference model input dim must be {MIA_INPUT_DIM}, "
+                f"inference model input dim must be {MIA_DIMS[0]}, "
                 f"got {self.network.input_dim}")
         t = self.decision_threshold
         if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t < 1.0:

@@ -66,6 +66,11 @@ class NoiseModel:
                 raise InvalidInputError(f"noise.{name} must be a finite number, got {value!r}")
         if self.phase_bound_rad < 0 or self.power_bound < 0:
             raise InvalidInputError("noise bounds must be >= 0")
+        for name in ("phase_bound_rad", "power_bound"):
+            value = getattr(self, name)
+            if not math.isfinite(2.0 * value):  # the draw's range, bound - (-bound)
+                raise InvalidInputError(
+                    f"noise.{name} must be a finite number with a finite range, got {value!r}")
         if not self.noise_floor > 0:
             raise InvalidInputError("noise floor must be > 0")
 

@@ -22,7 +22,7 @@ import csv
 import enum
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -333,13 +333,17 @@ class DataBundle:
     unauthorized_provider_views: Signals
 
 
-def dataset_lengths(config: ScenarioConfig) -> dict:
-    """len() of each DataBundle table that config implies."""
+def dataset_tables(config: ScenarioConfig) -> dict:
+    """Each DataBundle table in field order: its CSV kind and the len() config implies."""
     c = config.counts
-    return {"provider_train": c.provider_train, "train_pairs_class1": c.provider_train // 2,
-            "member_eval": c.member_eval, "nonmember_eval": c.nonmember_eval,
-            "surrogate_pairs": c.surrogate_train, "test_pairs": c.provider_test,
-            "unauthorized_provider_views": c.nonmember_eval - c.nonmember_eval // 2}
+    return {"provider_train": ("samples", c.provider_train),
+            "train_pairs_class1": ("pairs", c.provider_train // 2),
+            "member_eval": ("samples", c.member_eval),
+            "nonmember_eval": ("samples", c.nonmember_eval),
+            "surrogate_pairs": ("pairs", c.surrogate_train),
+            "test_pairs": ("pairs", c.provider_test),
+            "unauthorized_provider_views": ("samples",
+                                            c.nonmember_eval - c.nonmember_eval // 2)}
 
 
 # numpy's SeedSequence hash constants, as (initial value, multiplier) pairs
@@ -470,9 +474,7 @@ def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int) 
     """
     bound = np.array([noise.phase_bound_rad, noise.power_bound], dtype=float)
     low = -bound
-    span = bound - low
-    if not np.isfinite(span).all():
-        raise OverflowError("Range exceeds valid bounds")  # as Generator.uniform
+    span = bound - low  # finite: NoiseModel rejects a bound whose range overflows
     block = np.empty((n, views, 2, SYMBOLS_PER_SAMPLE))
     lanes = block.reshape(n, views * 2 * SYMBOLS_PER_SAMPLE)  # each row's draws in order
     for j, d in enumerate(_substream_doubles(seed, stream, n, lanes.shape[1])):
@@ -504,42 +506,38 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     def cycle(group, n):
         return group[np.arange(n) % len(group)]
 
-    def observe(stream, rows, epoch, view=None):
-        """Every row's transmission: (phases, powers) at view, or both views' if None."""
-        rx = [0, 1] if view is None else [RECEIVERS.index(view)]
+    def observe(stream, rows, epoch, views=RECEIVERS, member=False):
+        """Every row's transmission as one Signals table per receiver in views."""
+        rx = [RECEIVERS.index(view) for view in views]
         noise = stream_noise(config.noise, seed, stream, len(rows), len(rx))
         base, device = pilots[rows], population.device_phase[rows]
         link = population.link_phase[rows[:, None], rx, epoch]
         power = population.power[rows[:, None], rx, epoch]
-        if view is None:
-            return transmit_paired(base, device, link, power, noise)
-        return propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])
+        if len(rx) == len(RECEIVERS):
+            observations = transmit_paired(base, device, link, power, noise)
+        else:
+            observations = [propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])]
+        return [Signals(phases=phases, powers=powers, tx_id=rows + 1,
+                        class_label=rows < len(auth), view=view, member=member)
+                for view, (phases, powers) in zip(views, observations)]
 
-    def signals(rows, observation, view, member=False):
-        phases, powers = observation
-        return Signals(phases=phases, powers=powers, tx_id=rows + 1,
-                       class_label=rows < len(auth), view=view, member=member)
-
-    def pairs(rows, observations, member=False):
-        provider, adversary = observations
-        return Pairs(provider=signals(rows, provider, Receiver.PROVIDER, member),
-                     adversary=signals(rows, adversary, Receiver.ADVERSARY, member))
-
-    def joined(*observations):
-        """One (phases, powers) of several, row blocks in order."""
-        return tuple(map(np.concatenate, zip(*observations)))
+    def joined(first, second):
+        """One table of two that share a view and member flag, rows in order."""
+        return replace(first, **{name: np.concatenate([getattr(first, name),
+                                                       getattr(second, name)])
+                                 for name in ("phases", "powers", "tx_id", "class_label")})
 
     def fresh_pairs(stream, n):
         """Half authorized, then half other users, at the collection epoch."""
         rows = np.concatenate([cycle(auth, n // 2), cycle(others, n - n // 2)])
-        return pairs(rows, observe(stream, rows, Epoch.TEST))
+        return Pairs(*observe(stream, rows, Epoch.TEST))
 
     n_class1 = counts.provider_train // 2
     class1 = cycle(auth, n_class1)
     class0 = cycle(others, counts.provider_train - n_class1)
-    class1_obs = observe(S_TRAIN_C1, class1, Epoch.TRAIN)
-    class0_obs = observe(S_TRAIN_C0, class0, Epoch.TRAIN, Receiver.PROVIDER)
-    train_pairs = pairs(class1, class1_obs, member=True)
+    train_pairs = Pairs(*observe(S_TRAIN_C1, class1, Epoch.TRAIN, member=True))
+    [class0_provider] = observe(S_TRAIN_C0, class0, Epoch.TRAIN, [Receiver.PROVIDER],
+                                member=True)
 
     choice_rng = np.random.default_rng((seed, S_MEMBER_CHOICE))
     member_indices = np.sort(choice_rng.permutation(n_class1)[:counts.member_eval])
@@ -547,21 +545,18 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     n_fresh_auth = counts.nonmember_eval // 2
     fresh_auth = cycle(auth, n_fresh_auth)
     mimics = cycle(unauth, counts.nonmember_eval - n_fresh_auth)
-    fresh_obs = observe(S_NONMEMBER_AUTH, fresh_auth, Epoch.TEST, Receiver.ADVERSARY)
-    mimic_obs = observe(S_NONMEMBER_UNAUTH, mimics, Epoch.TEST)
+    [fresh] = observe(S_NONMEMBER_AUTH, fresh_auth, Epoch.TEST, [Receiver.ADVERSARY])
+    mimic_provider, mimic_adversary = observe(S_NONMEMBER_UNAUTH, mimics, Epoch.TEST)
 
     return DataBundle(
         config=config,
-        provider_train=signals(np.concatenate([class1, class0]),
-                               joined(class1_obs[0], class0_obs), Receiver.PROVIDER,
-                               member=True),
+        provider_train=joined(train_pairs.provider, class0_provider),
         train_pairs_class1=train_pairs,
         member_eval=train_pairs.adversary.take(member_indices),
-        nonmember_eval=signals(np.concatenate([fresh_auth, mimics]),
-                               joined(fresh_obs, mimic_obs[1]), Receiver.ADVERSARY),
+        nonmember_eval=joined(fresh, mimic_adversary),
         surrogate_pairs=fresh_pairs(S_SURROGATE, counts.surrogate_train),
         test_pairs=fresh_pairs(S_TEST, counts.provider_test),
-        unauthorized_provider_views=signals(mimics, mimic_obs[0], Receiver.PROVIDER),
+        unauthorized_provider_views=mimic_provider,
     )
 
 

@@ -115,6 +115,7 @@ class TestUsageErrors:
         ("snr_authorized_db", True), ("snr_authorized_db", "12"),
         ("noise.phase_bound_rad", True), ("noise.phase_bound_rad", "12"),
         ("snr_authorized_db", 1e308),  # finite, but its received power overflows
+        ("noise.power_bound", 1e308),  # finite, but its range, 2 * bound, overflows
     ])
     def test_non_finite_config_values_are_config_errors(self, tmp_path, key, value, capsys):
         doc = config_to_document(small_config())

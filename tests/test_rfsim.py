@@ -186,6 +186,10 @@ class TestTypes:
             NoiseModel(phase_bound_rad=-0.1)
         with pytest.raises(InvalidInputError):
             NoiseModel(noise_floor=0.0)
+        for name in ("phase_bound_rad", "power_bound"):  # finite, but 2 * bound overflows
+            with pytest.raises(InvalidInputError, match=f"noise.{name} must be a finite "
+                                                        "number with a finite range"):
+                NoiseModel(**{name: 1e308})
 
     def test_sample_feature_layout(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -26,6 +27,7 @@ from airmia.scenarios import (
     CSV_HEADER,
     PILOT_BITS,
     S_TRAIN_C1,
+    DataBundle,
     DriftModel,
     Epoch,
     MimicModel,
@@ -36,6 +38,7 @@ from airmia.scenarios import (
     apply_scenario_constraints,
     config_from_document,
     config_to_document,
+    dataset_tables,
     generate_scenario_data,
     read_pairs_csv,
     read_samples_csv,
@@ -232,6 +235,17 @@ class TestGenerateScenarioData:
         assert len(small_bundle.test_pairs) == c.provider_test
         assert small_bundle.provider_train.class_label.sum() == c.provider_train // 2
 
+    def test_dataset_tables_follow_the_bundle_fields(self):
+        tables = [f.name for f in dataclasses.fields(DataBundle) if f.name != "config"]
+        assert list(dataset_tables(small_config())) == tables
+
+    def test_every_table_has_its_declared_kind_and_length(self, small_bundle):
+        kinds = {"samples": Signals, "pairs": Pairs}
+        for name, (kind, length) in dataset_tables(small_bundle.config).items():
+            table = getattr(small_bundle, name)
+            assert type(table) is kinds[kind], name
+            assert len(table) == length, name
+
     def test_class_one_exactly_on_authorized_rows(self, small_bundle):
         population = apply_scenario_constraints(small_bundle.config)
         authorized = user_rows(small_bundle.config)[0] + 1
@@ -359,11 +373,13 @@ class TestStreamNoise:
         assert fast.shape == (n, views, 2, 16)
         assert fast.tobytes() == stream_noise_oracle(noise, seed, stream, n, views).tobytes()
 
-    def test_overflowing_range_raises_like_uniform(self):
-        noise = NoiseModel(power_bound=1e308)
-        for draw in (stream_noise, stream_noise_oracle):
-            with np.errstate(over="ignore"), pytest.raises(OverflowError):
-                draw(noise, 3, 1, 2, 1)
+    def test_largest_accepted_bound_draws_like_uniform(self):
+        largest = np.finfo(float).max / 2  # its range, 2 * bound, is the largest float
+        noise = NoiseModel(phase_bound_rad=largest, power_bound=largest)
+        for views in (1, 2):
+            fast = stream_noise(noise, 3, 1, 20, views)
+            assert np.isfinite(fast).all()
+            assert fast.tobytes() == stream_noise_oracle(noise, 3, 1, 20, views).tobytes()
 
 
 class TestCsvRoundTrip:
@@ -580,8 +596,11 @@ def scenario_configs(draw):
         provider_test=draw(even()), member_eval=draw(st.integers(1, provider_train // 2)),
         nonmember_eval=draw(even()))
     users = UserCounts(*(draw(st.integers(1, 20)) for _ in range(3)))
-    # The floor and SNR bounds keep the largest received power finite (< 1e307).
-    noise = NoiseModel(phase_bound_rad=draw(real(0.0)), power_bound=draw(real(0.0)),
+    # The floor and SNR bounds keep the largest received power finite (< 1e307);
+    # a noise bound above max / 2 has an infinite range and is rejected.
+    largest_bound = np.finfo(float).max / 2
+    noise = NoiseModel(phase_bound_rad=draw(real(0.0, largest_bound)),
+                       power_bound=draw(real(0.0, largest_bound)),
                        noise_floor=draw(real(0.0, 1e6, exclude_min=True)))
     scenario = draw(st.sampled_from(Scenario))
     snr_others = draw(real(None, 1e3))
