@@ -20,6 +20,7 @@ Artifact layout per run: <out>/<scenario>/<seed>/
 from __future__ import annotations
 
 import json
+import resource
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -290,12 +291,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
     """Generate data, train all three networks, evaluate the attack, persist."""
     hyper = hyper or PipelineHyper.for_config(config)
     started = time.perf_counter()
-    stage_seconds = {}
+    stage_seconds, stage_peak_rss_mb = {}, {}
 
     def timed(name, fn):
         t0 = time.perf_counter()
         result = run_stage(name, fn)
         stage_seconds[name] = time.perf_counter() - t0
+        # the process's peak resident set so far; Linux reports ru_maxrss in KiB
+        stage_peak_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return result
 
     bundle = timed("generate", lambda: scenarios.generate_scenario_data(config))
@@ -308,6 +311,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
         write_json(cell / "timings.json", {
             "wall_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
+            "stage_peak_rss_mb": stage_peak_rss_mb,
             "target_train_seconds": target_report.train_seconds,
             "surrogate_train_seconds": surrogate_report.train_seconds,
             "blas_threads": tinynn.BLAS_THREADS,

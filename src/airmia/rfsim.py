@@ -51,6 +51,19 @@ def wrap_phase(x):
     return np.where(wrapped == TWO_PI, 0.0, wrapped)[()]
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is an int or float (not a bool) with a finite float value.
+
+    An int too large for a float counts as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Bounded observation noise, uniform per feature in [-bound, +bound]."""
@@ -61,8 +74,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise InvalidInputError(f"noise.{name} must be a finite number, got {value!r}")
         if self.phase_bound_rad < 0 or self.power_bound < 0:
             raise InvalidInputError("noise bounds must be >= 0")

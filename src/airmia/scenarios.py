@@ -36,6 +36,7 @@ from .rfsim import (
     Pairs,
     Receiver,
     Signals,
+    is_finite_real,
     modulate,
     propagate,
     snr_to_received_power,
@@ -164,8 +165,7 @@ class ScenarioConfig:
             reals.update({f"{group}.{name}": value
                           for name, value in vars(getattr(self, group)).items()})
         for name, value in reals.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("provider_train", "surrogate_train", "provider_test", "nonmember_eval"):
             if getattr(c, name) % 2 != 0:
@@ -570,18 +570,24 @@ CSV_HEADER = (
     + [f"power_{i}" for i in range(SYMBOLS_PER_SAMPLE)]
 )
 
+_EXPORT_ROWS = 1024  # rows converted to Python values at a time by _rows
+
 
 def _rows(signals: Signals):
     """CSV rows of a table; sample_id is the row position.
 
     Values come from .tolist() columns, so csv.writer prints each float with
-    repr, the shortest string that reads back to the same float.
+    repr, the shortest string that reads back to the same float. Columns are
+    converted _EXPORT_ROWS rows at a time, so no whole table is ever held as
+    Python floats.
     """
     view, member = signals.view.value, int(signals.member)
-    for i, (tx_id, label, phases, powers) in enumerate(zip(
-            signals.tx_id.tolist(), signals.class_label.tolist(),
-            signals.phases.tolist(), signals.powers.tolist())):
-        yield [i, tx_id, label, member, view, *phases, *powers]
+    for start in range(0, len(signals), _EXPORT_ROWS):
+        block = slice(start, start + _EXPORT_ROWS)
+        for i, (tx_id, label, phases, powers) in enumerate(zip(
+                signals.tx_id[block].tolist(), signals.class_label[block].tolist(),
+                signals.phases[block].tolist(), signals.powers[block].tolist()), start):
+            yield [i, tx_id, label, member, view, *phases, *powers]
 
 
 def write_samples_csv(samples: Signals, path) -> None:

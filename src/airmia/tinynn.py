@@ -37,6 +37,12 @@ SIGMOID_Z_CLIP = 30.0
 
 MODEL_FORMAT_VERSION = "1"
 
+# Rows per infer block. A row's matmul result can depend on the call's total
+# row count (BLAS picks kernels by shape), so the shipped member_eval and
+# nonmember_eval tables (1000 rows), whose surrogate posteriors train the
+# inference model, must stay one block: keep this at least 1000.
+INFER_ROWS = 1024
+
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv 1412.6980).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -217,10 +223,18 @@ def forward_batch(net: DenseNetwork, inputs: np.ndarray):
 
 
 def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
-    """forward_batch's outputs, bit for bit, holding no layer but the current one."""
-    out = _input_batch(net, inputs)
-    for _, out in _layers(net, out):
-        pass
+    """Outputs for every row, INFER_ROWS rows at a time into one (n, out_dim) array.
+
+    Each block's rows equal forward_batch's over that block, bit for bit, and
+    only one block's activations are alive beside the output. A call of at
+    most INFER_ROWS rows is one block, so it equals forward_batch.
+    """
+    x = _input_batch(net, inputs)
+    out = np.empty((x.shape[0], net.layer_dims[-1]))
+    for start in range(0, x.shape[0], INFER_ROWS):
+        for _, a in _layers(net, x[start:start + INFER_ROWS]):
+            pass
+        out[start:start + INFER_ROWS] = a
     return out
 
 

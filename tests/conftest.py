@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def stream_noise_oracle(noise, seed: int, stream: int, n: int, views: int) -> np
         block[i] = np.random.default_rng((seed, stream, i)).uniform(
             -bound, bound, size=block.shape[1:])
     return block
+
+
+def traced_peak_mb(call) -> float:
+    """How far traced memory rose above its starting level while call() ran, in MB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def small_config(scenario=Scenario.FULL_STRONG, seed=11, **overrides) -> ScenarioConfig:

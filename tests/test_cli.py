@@ -116,6 +116,9 @@ class TestUsageErrors:
         ("noise.phase_bound_rad", True), ("noise.phase_bound_rad", "12"),
         ("snr_authorized_db", 1e308),  # finite, but its received power overflows
         ("noise.power_bound", 1e308),  # finite, but its range, 2 * bound, overflows
+        # JSON integers beyond the float range
+        pytest.param("snr_authorized_db", 10 ** 400, id="snr_authorized_db-10**400"),
+        pytest.param("noise.power_bound", 10 ** 400, id="noise.power_bound-10**400"),
     ])
     def test_non_finite_config_values_are_config_errors(self, tmp_path, key, value, capsys):
         doc = config_to_document(small_config())

@@ -63,9 +63,12 @@ class TestRunScenario:
     def test_timings_cover_every_stage_and_are_written_last(self, small_run):
         timings = small_run["cell"] / "timings.json"
         doc = json.loads(timings.read_text())
-        assert set(doc["stage_seconds"]) == {"generate", "train-target", "train-surrogate",
-                                             "train-mia", "evaluate", "persist"}
+        stages = ("generate", "train-target", "train-surrogate", "train-mia", "evaluate",
+                  "persist")  # in the order they run
+        assert set(doc["stage_seconds"]) == set(doc["stage_peak_rss_mb"]) == set(stages)
         assert sum(doc["stage_seconds"].values()) <= doc["wall_seconds"]
+        peaks = [doc["stage_peak_rss_mb"][name] for name in stages]  # a high-water mark
+        assert 0 < peaks[0] and peaks == sorted(peaks)
         assert doc["blas_threads"] == tinynn.BLAS_THREADS
         last = timings.stat().st_mtime_ns
         assert all(p.stat().st_mtime_ns <= last

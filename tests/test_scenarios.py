@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from airmia.errors import ArtifactError, InvalidConfigError
 from airmia.rfsim import (
+    SYMBOLS_PER_SAMPLE,
     TWO_PI,
     Modulation,
     NoiseModel,
@@ -46,7 +47,7 @@ from airmia.scenarios import (
     write_pairs_csv,
     write_samples_csv,
 )
-from conftest import small_config, stream_noise_oracle
+from conftest import small_config, stream_noise_oracle, traced_peak_mb
 
 
 def features_set(samples):
@@ -407,6 +408,24 @@ class TestCsvRoundTrip:
         assert back.adversary.view is Receiver.ADVERSARY
         assert np.array_equal(orig.provider.tx_id, back.provider.tx_id)
         assert np.array_equal(orig.adversary.powers, back.adversary.powers)
+
+    def test_pairs_export_streams_row_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 10_000
+        tx_id, class_label = rng.integers(1, 10, size=n), rng.integers(0, 2, size=n)
+
+        def table(view):
+            return Signals(phases=rng.uniform(0, 6, size=(n, SYMBOLS_PER_SAMPLE)),
+                           powers=rng.uniform(0, 20, size=(n, SYMBOLS_PER_SAMPLE)),
+                           tx_id=tx_id, class_label=class_label, view=view)
+
+        pairs = Pairs(table(Receiver.PROVIDER), table(Receiver.ADVERSARY))
+        path = tmp_path / "pairs.csv"
+        peak = traced_peak_mb(lambda: write_pairs_csv(pairs, path))
+        assert peak < 6, f"export peaked {peak:.1f} MB above its start"
+        back = read_pairs_csv(path)  # sample_id counts on across block boundaries
+        assert_same_table(pairs.provider, back.provider)
+        assert_same_table(pairs.adversary, back.adversary)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -6,11 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from airmia.classify import CLASSIFIER_DIMS
 from airmia.errors import ArtifactError, InvalidInputError
+from airmia.mia import MIA_DIMS
+from airmia.scenarios import ScenarioCounts
 from airmia.tinynn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    INFER_ROWS,
     AdamState,
     OutputHead,
     TrainHyper,
@@ -25,7 +29,13 @@ from airmia.tinynn import (
     save_model,
     train_supervised,
 )
-from conftest import cross_entropy_loss, grad_check, numeric_gradient, sample_checkable_network
+from conftest import (
+    cross_entropy_loss,
+    grad_check,
+    numeric_gradient,
+    sample_checkable_network,
+    traced_peak_mb,
+)
 
 
 def zero_network(dims, head):
@@ -123,6 +133,35 @@ class TestForward:
             net = random_small_net(rng, head)
             x = rng.normal(size=(int(rng.integers(1, 40)), net.input_dim))
             assert infer(net, x).tobytes() == forward_batch(net, x)[0].tobytes()
+
+
+class TestInferBlocks:
+    """infer runs INFER_ROWS-row blocks: forward_batch bit for bit per block."""
+
+    HEAD_DIMS = {OutputHead.SOFTMAX2: CLASSIFIER_DIMS, OutputHead.SIGMOID_SCALAR: MIA_DIMS}
+
+    @pytest.mark.parametrize("n", [INFER_ROWS + 1, 2 * INFER_ROWS + 7, 3 * INFER_ROWS])
+    @pytest.mark.parametrize("head", list(OutputHead))
+    def test_each_block_equals_forward_batch(self, head, n):
+        net = init_network(self.HEAD_DIMS[head], head, seed=n)
+        x = np.random.default_rng(n).normal(size=(n, net.input_dim))
+        out = infer(net, x)
+        blocks = [forward_batch(net, x[start:start + INFER_ROWS])[0]
+                  for start in range(0, n, INFER_ROWS)]
+        assert out.tobytes() == np.concatenate(blocks).tobytes()
+        np.testing.assert_allclose(out, forward_batch(net, x)[0], rtol=0, atol=1e-12)
+
+    def test_shipped_evaluation_tables_are_one_block(self):
+        # their surrogate posteriors train the inference model, so they must
+        # equal forward_batch's bit for bit
+        counts = ScenarioCounts()
+        assert INFER_ROWS >= max(counts.member_eval, counts.nonmember_eval)
+
+    def test_peak_memory_stays_bounded(self):
+        net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 0)
+        x = np.random.default_rng(0).normal(size=(20_000, net.input_dim))
+        peak = traced_peak_mb(lambda: infer(net, x))
+        assert peak < 8, f"infer peaked {peak:.1f} MB above its start"
 
 
 class TestCrossEntropy:
