@@ -4,10 +4,11 @@ A scenario fixes the user groups (authorized QPSK users, other BPSK users,
 and unauthorized QPSK users that only appear at evaluation time) and draws
 one static channel per (user, receiver) pair. The result is one table,
 `Population`, with a row per user: its device phase, and its link phase and
-received power per receiver and epoch. Every dataset is a block of table
-rows observed through `rfsim.propagate`. Each sample's noise derives from
-its own counter-based random substream keyed by (seed, stream, index), so
-generation order or parallelism cannot change the output.
+received power per receiver and epoch. Every dataset is a run of table
+rows observed through `rfsim.propagate`, BLOCK_ROWS rows at a time. Each
+sample's noise derives from its own counter-based random substream keyed
+by (seed, stream, index), so generation order, blocking or parallelism
+cannot change the output.
 
 Signals collected while the authentication classifier's training data was
 recorded see the training-epoch channel state; everything fresh (surrogate
@@ -53,6 +54,10 @@ S_NONMEMBER_AUTH = 4
 S_NONMEMBER_UNAUTH = 5
 S_TEST = 6
 S_MEMBER_CHOICE = 7
+
+# Rows observed by generate_scenario_data, and converted to Python values by
+# the CSV export, at a time: no stage holds a whole table's temporaries.
+BLOCK_ROWS = 1024
 
 DEFAULT_PHASE_DRIFT_RAD = 0.06
 DEFAULT_POWER_DRIFT_FRACTION = 0.035
@@ -393,15 +398,15 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_states(seed: int, stream: int, n: int) -> list:
-    """SeedSequence((seed, stream, i)).generate_state(4, np.uint64) for every i < n.
+def _seed_states(seed: int, stream: int, n: int, start: int) -> list:
+    """SeedSequence((seed, stream, i)).generate_state(4, np.uint64) for start <= i < start + n.
 
     Returns the four state words, each an (n,) uint64 array. Row i's entropy
     is the words of seed, then of stream, then i (one word for i < 2**32).
     """
     entropy = [np.full(n, word, dtype=np.uint32)
                for word in _entropy_words(seed) + _entropy_words(stream)]
-    entropy.append(np.arange(n, dtype=np.uint32))
+    entropy.append(np.arange(start, start + n, dtype=np.uint32))
     hashmix = _hasher(*_POOL_HASH)
     pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, dtype=np.uint32))
             for k in range(_POOL_SIZE)]
@@ -437,14 +442,14 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
                    inc_hi, inc_lo)
 
 
-def _substream_doubles(seed: int, stream: int, n: int, count: int):
-    """Yield default_rng((seed, stream, i)).random() draws, one (n,) array per draw.
+def _substream_doubles(seed: int, stream: int, n: int, start: int, count: int):
+    """Yield default_rng((seed, stream, start + i)).random() draws, one (n,) array per draw.
 
-    Lane i is PCG64 seeded by the SeedSequence of (seed, stream, i): the
-    generator's srandom step, then per draw one LCG step, the XSL-RR output
-    and next_double's top 53 bits times 2**-53.
+    Lane i is PCG64 seeded by the SeedSequence of (seed, stream, start + i):
+    the generator's srandom step, then per draw one LCG step, the XSL-RR
+    output and next_double's top 53 bits times 2**-53.
     """
-    state_hi, state_lo, seq_hi, seq_lo = _seed_states(seed, stream, n)
+    state_hi, state_lo, seq_hi, seq_lo = _seed_states(seed, stream, n, start)
     inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
     hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, state_hi, state_lo), inc_hi, inc_lo)
@@ -455,21 +460,23 @@ def _substream_doubles(seed: int, stream: int, n: int, count: int):
         yield (word >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int) -> np.ndarray:
+def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int,
+                 start: int = 0) -> np.ndarray:
     """Observation noise of n transmissions seen by views receivers: (n, views, 2, 16).
 
-    Row i is drawn from its own substream (seed, stream, i): per view, the
-    phase noise and then the power noise, uniform per symbol within the
-    model's bounds. So any sample can be regenerated alone.
+    Row i is drawn from its own substream (seed, stream, start + i): per
+    view, the phase noise and then the power noise, uniform per symbol
+    within the model's bounds. So any sample can be regenerated alone, and
+    a call with start equals rows start:start + n of a call from 0.
 
-    Row i equals np.random.default_rng((seed, stream, i)).uniform(-bound,
-    bound, size=(views, 2, 16)), with bound the (phase, power) bounds as a
-    (2, 1) column; the tests keep that per-row loop as the oracle. All rows
-    are drawn at once: numpy's SeedSequence hash, PCG64 seeding and
-    stepping, next_double and uniform's low + (high - low) * d run as array
-    arithmetic over the rows, one output word at a time. The match is bit
-    for bit where numpy's C uniform rounds the multiply and the add
-    separately, as here; a numpy build that fuses them (FMA contraction)
+    Row i equals np.random.default_rng((seed, stream, start + i)).uniform(
+    -bound, bound, size=(views, 2, 16)), with bound the (phase, power) bounds
+    as a (2, 1) column; the tests keep that per-row loop as the oracle. All
+    rows of a call are drawn at once: numpy's SeedSequence hash, PCG64
+    seeding and stepping, next_double and uniform's low + (high - low) * d
+    run as array arithmetic over the rows, one output word at a time. The
+    match is bit for bit where numpy's C uniform rounds the multiply and the
+    add separately, as here; a numpy build that fuses them (FMA contraction)
     may differ in the last bit. Checked on x86-64 with numpy 2.4.
     """
     bound = np.array([noise.phase_bound_rad, noise.power_bound], dtype=float)
@@ -477,7 +484,7 @@ def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int) 
     span = bound - low  # finite: NoiseModel rejects a bound whose range overflows
     block = np.empty((n, views, 2, SYMBOLS_PER_SAMPLE))
     lanes = block.reshape(n, views * 2 * SYMBOLS_PER_SAMPLE)  # each row's draws in order
-    for j, d in enumerate(_substream_doubles(seed, stream, n, lanes.shape[1])):
+    for j, d in enumerate(_substream_doubles(seed, stream, n, start, lanes.shape[1])):
         kind = j // SYMBOLS_PER_SAMPLE % 2  # phase or power
         lanes[:, j] = low[kind] + span[kind] * d
     return block
@@ -493,8 +500,10 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     adversary views at the collection epoch. surrogate and test traffic are
     fresh paired transmissions at the collection epoch.
 
-    Each dataset stream is one block of population rows: the i-th row's
-    noise comes from substream (seed, stream, i).
+    Each dataset stream is one run of population rows: the i-th row's noise
+    comes from substream (seed, stream, i). Rows are observed BLOCK_ROWS at
+    a time. The class-1 rows of provider_train are stored once:
+    train_pairs_class1.provider is a view of them, and both are read-only.
     """
     population = apply_scenario_constraints(config)
     seed, counts = config.seed, config.counts
@@ -506,20 +515,34 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     def cycle(group, n):
         return group[np.arange(n) % len(group)]
 
-    def observe(stream, rows, epoch, views=RECEIVERS, member=False):
-        """Every row's transmission as one Signals table per receiver in views."""
+    def columns(n):
+        """Empty (phases, powers) columns for n rows."""
+        return np.empty((n, SYMBOLS_PER_SAMPLE)), np.empty((n, SYMBOLS_PER_SAMPLE))
+
+    def observe(stream, rows, epoch, views=RECEIVERS, member=False, out=None):
+        """Every row's transmission as one Signals table per receiver in views.
+
+        Each view's rows land in its (phases, powers) columns of out, which
+        are fresh unless given.
+        """
         rx = [RECEIVERS.index(view) for view in views]
-        noise = stream_noise(config.noise, seed, stream, len(rows), len(rx))
-        base, device = pilots[rows], population.device_phase[rows]
-        link = population.link_phase[rows[:, None], rx, epoch]
-        power = population.power[rows[:, None], rx, epoch]
-        if len(rx) == len(RECEIVERS):
-            observations = transmit_paired(base, device, link, power, noise)
-        else:
-            observations = [propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])]
+        out = out or [columns(len(rows)) for _ in rx]
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            noise = stream_noise(config.noise, seed, stream, len(block), len(rx), start)
+            base, device = pilots[block], population.device_phase[block]
+            link = population.link_phase[block[:, None], rx, epoch]
+            power = population.power[block[:, None], rx, epoch]
+            if len(rx) == len(RECEIVERS):
+                observations = transmit_paired(base, device, link, power, noise)
+            else:
+                observations = [propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])]
+            for (phases, powers), (block_phases, block_powers) in zip(out, observations):
+                phases[start:start + len(block)] = block_phases
+                powers[start:start + len(block)] = block_powers
         return [Signals(phases=phases, powers=powers, tx_id=rows + 1,
                         class_label=rows < len(auth), view=view, member=member)
-                for view, (phases, powers) in zip(views, observations)]
+                for view, (phases, powers) in zip(views, out)]
 
     def joined(first, second):
         """One table of two that share a view and member flag, rows in order."""
@@ -535,9 +558,18 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     n_class1 = counts.provider_train // 2
     class1 = cycle(auth, n_class1)
     class0 = cycle(others, counts.provider_train - n_class1)
-    train_pairs = Pairs(*observe(S_TRAIN_C1, class1, Epoch.TRAIN, member=True))
-    [class0_provider] = observe(S_TRAIN_C0, class0, Epoch.TRAIN, [Receiver.PROVIDER],
-                                member=True)
+    phases, powers = columns(counts.provider_train)
+    _, class1_adversary = observe(S_TRAIN_C1, class1, Epoch.TRAIN, member=True,
+                                  out=[(phases[:n_class1], powers[:n_class1]),
+                                       columns(n_class1)])
+    observe(S_TRAIN_C0, class0, Epoch.TRAIN, [Receiver.PROVIDER], member=True,
+            out=[(phases[n_class1:], powers[n_class1:])])
+    rows = np.concatenate([class1, class0])
+    provider_train = Signals(phases=phases, powers=powers, tx_id=rows + 1,
+                             class_label=rows < len(auth), view=Receiver.PROVIDER, member=True)
+    for column in (provider_train.phases, provider_train.powers,
+                   provider_train.tx_id, provider_train.class_label):
+        column.flags.writeable = False  # train_pairs_class1.provider shares these rows
 
     choice_rng = np.random.default_rng((seed, S_MEMBER_CHOICE))
     member_indices = np.sort(choice_rng.permutation(n_class1)[:counts.member_eval])
@@ -550,9 +582,9 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
 
     return DataBundle(
         config=config,
-        provider_train=joined(train_pairs.provider, class0_provider),
-        train_pairs_class1=train_pairs,
-        member_eval=train_pairs.adversary.take(member_indices),
+        provider_train=provider_train,
+        train_pairs_class1=Pairs(provider_train.take(slice(0, n_class1)), class1_adversary),
+        member_eval=class1_adversary.take(member_indices),
         nonmember_eval=joined(fresh, mimic_adversary),
         surrogate_pairs=fresh_pairs(S_SURROGATE, counts.surrogate_train),
         test_pairs=fresh_pairs(S_TEST, counts.provider_test),
@@ -570,20 +602,17 @@ CSV_HEADER = (
     + [f"power_{i}" for i in range(SYMBOLS_PER_SAMPLE)]
 )
 
-_EXPORT_ROWS = 1024  # rows converted to Python values at a time by _rows
-
-
 def _rows(signals: Signals):
     """CSV rows of a table; sample_id is the row position.
 
     Values come from .tolist() columns, so csv.writer prints each float with
     repr, the shortest string that reads back to the same float. Columns are
-    converted _EXPORT_ROWS rows at a time, so no whole table is ever held as
+    converted BLOCK_ROWS rows at a time, so no whole table is ever held as
     Python floats.
     """
     view, member = signals.view.value, int(signals.member)
-    for start in range(0, len(signals), _EXPORT_ROWS):
-        block = slice(start, start + _EXPORT_ROWS)
+    for start in range(0, len(signals), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         for i, (tx_id, label, phases, powers) in enumerate(zip(
                 signals.tx_id[block].tolist(), signals.class_label[block].tolist(),
                 signals.phases[block].tolist(), signals.powers[block].tolist()), start):

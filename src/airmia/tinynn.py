@@ -201,7 +201,8 @@ def _layers(net: DenseNetwork, x: np.ndarray):
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b  # the same rounding as a @ w + b, without its temporary
         if i < last:
             a = np.maximum(0.0, z)
         elif net.output_head is OutputHead.SOFTMAX2:
@@ -225,15 +226,16 @@ def forward_batch(net: DenseNetwork, inputs: np.ndarray):
 def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
     """Outputs for every row, INFER_ROWS rows at a time into one (n, out_dim) array.
 
-    Each block's rows equal forward_batch's over that block, bit for bit, and
-    only one block's activations are alive beside the output. A call of at
-    most INFER_ROWS rows is one block, so it equals forward_batch.
+    Each block's rows equal forward_batch's over that block, bit for bit. A
+    call of at most INFER_ROWS rows is one block, so it equals forward_batch.
+    Beside the output, at most three of one block's layer arrays are alive:
+    the previous activation, the pre-activation and the new activation.
     """
     x = _input_batch(net, inputs)
     out = np.empty((x.shape[0], net.layer_dims[-1]))
     for start in range(0, x.shape[0], INFER_ROWS):
-        for _, a in _layers(net, x[start:start + INFER_ROWS]):
-            pass
+        for z, a in _layers(net, x[start:start + INFER_ROWS]):
+            del z  # the next layer needs only the activation
         out[start:start + INFER_ROWS] = a
     return out
 

@@ -6,7 +6,17 @@ import pytest
 from airmia import classify
 from airmia.errors import InvalidConfigError, InvalidInputError
 from airmia.rfsim import Pairs, Receiver, Signals
-from airmia.tinynn import PHASE_SCALE, POWER_SCALE, OutputHead, TrainHyper, init_network
+from airmia.scenarios import Scenario, ScenarioConfig, generate_scenario_data
+from airmia.tinynn import (
+    INFER_ROWS,
+    PHASE_SCALE,
+    POWER_SCALE,
+    OutputHead,
+    TrainHyper,
+    infer,
+    init_network,
+)
+from conftest import traced_peak_mb
 
 
 def synthetic_samples(rng, labels):
@@ -20,6 +30,12 @@ def zero_classifier():
     for w in net.weights:
         w[:] = 0.0
     return net
+
+
+@pytest.fixture(scope="module")
+def default_bundle():
+    """A full-strong bundle at the shipped counts."""
+    return generate_scenario_data(ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=3))
 
 
 class TestFeatures:
@@ -47,6 +63,28 @@ class TestPredict:
         post = classify.posterior_matrix(small_classifiers["target"],
                                          small_bundle.test_pairs.provider.take(np.s_[:50]))
         assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS + 7])
+    def test_blocks_equal_infer_over_the_whole_matrix(self, n):
+        rng = np.random.default_rng(n)
+        samples = synthetic_samples(rng, rng.integers(0, 2, size=n))
+        net = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, n)
+        post = classify.posterior_matrix(net, samples)
+        assert post.tobytes() == infer(net, classify.features_matrix(samples)).tobytes()
+
+    def test_empty_table_is_an_error_not_an_empty_result(self, small_bundle, small_classifiers):
+        empty = small_bundle.test_pairs.provider.take([])
+        for score in (classify.posterior_matrix, classify.predicted_labels,
+                      classify.classification_accuracy):
+            with pytest.raises(InvalidInputError, match="empty sample list"):
+                score(small_classifiers["target"], empty)
+
+    def test_peak_memory_stays_bounded(self, default_bundle):
+        net = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 0)
+        samples = default_bundle.test_pairs.provider
+        assert len(samples) == 10_000
+        peak = traced_peak_mb(lambda: classify.posterior_matrix(net, samples))
+        assert peak < 4, f"scoring peaked {peak:.1f} MB above its start"
 
 
 class TestAccuracy:
@@ -97,6 +135,12 @@ class TestTraining:
             assert len(rep.loss_history) > 0
         assert t_rep.dataset_sizes["train"] == len(small_bundle.provider_train)
         assert s_rep.dataset_sizes["train"] == len(small_bundle.surrogate_pairs)
+
+    def test_peak_memory_stays_bounded(self, default_bundle):
+        b = default_bundle
+        peak = traced_peak_mb(lambda: classify.train_target(
+            b.provider_train, b.test_pairs.provider, TrainHyper(epochs=1)))
+        assert peak < 6, f"one epoch of target training peaked {peak:.1f} MB above its start"
 
     def test_architectures_match(self, small_classifiers):
         assert small_classifiers["target"].layer_dims == \

@@ -25,8 +25,10 @@ from airmia.rfsim import (
     wrap_phase,
 )
 from airmia.scenarios import (
+    BLOCK_ROWS,
     CSV_HEADER,
     PILOT_BITS,
+    S_TEST,
     S_TRAIN_C1,
     DataBundle,
     DriftModel,
@@ -326,30 +328,83 @@ class TestGenerateScenarioData:
         b = generate_scenario_data(small_config(seed=6))
         assert not np.array_equal(a.provider_train.phases[0], b.provider_train.phases[0])
 
+    def test_peak_memory_at_the_shipped_defaults(self):
+        config = ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=3)
+        peak = traced_peak_mb(lambda: generate_scenario_data(config))
+        # the bundle itself is about 10.5 MB of it
+        assert peak < 14, f"generation peaked {peak:.1f} MB above its start"
+
     def test_samples_reproducible_from_their_substream(self, small_bundle):
         # counter-based substreams: any sample can be regenerated standalone,
         # so generation order or parallelism cannot change the output
-        config = small_bundle.config
-        population = apply_scenario_constraints(config)
-        e_phi, e_p = config.noise.phase_bound_rad, config.noise.power_bound
         stored = small_bundle.train_pairs_class1
-        for index in (0, 7, len(stored) - 1):
-            rng = np.random.default_rng((config.seed, S_TRAIN_C1, index))
-            provider_phase = rng.uniform(-e_phi, e_phi, 16)
-            provider_power = rng.uniform(-e_p, e_p, 16)
-            adversary_phase = rng.uniform(-e_phi, e_phi, 16)
-            adversary_power = rng.uniform(-e_p, e_p, 16)
-            noise = np.array([[[provider_phase, provider_power],
-                               [adversary_phase, adversary_power]]])
-            row = [index % config.users.authorized]  # class 1 cycles the authorized rows
-            provider, adversary = transmit_paired(
-                modulate(PILOT_BITS[Modulation.QPSK], Modulation.QPSK),
-                population.device_phase[row], population.link_phase[row, :, Epoch.TRAIN],
-                population.power[row, :, Epoch.TRAIN], noise)
-            assert np.array_equal(provider[0][0], stored.provider.phases[index])
-            assert np.array_equal(provider[1][0], stored.provider.powers[index])
-            assert np.array_equal(adversary[0][0], stored.adversary.phases[index])
-            assert np.array_equal(adversary[1][0], stored.adversary.powers[index])
+        authorized = small_bundle.config.users.authorized
+        assert_pairs_regenerate(small_bundle.config, stored, S_TRAIN_C1, Epoch.TRAIN,
+                                {index: index % authorized  # class 1 cycles the authorized rows
+                                 for index in (0, 7, len(stored) - 1)})
+
+    def test_samples_reproducible_across_generation_blocks(self):
+        # 2 * BLOCK_ROWS + 8 rows: the test pairs span three generation
+        # blocks (provider_test must be even, so not + 7)
+        config = small_config(counts=ScenarioCounts(
+            provider_train=240, surrogate_train=120, provider_test=2 * BLOCK_ROWS + 8,
+            member_eval=60, nonmember_eval=60))
+        stored = generate_scenario_data(config).test_pairs
+        half, users = len(stored) // 2, config.users
+        # the first half cycles the authorized rows, the second the other users'
+        rows = {index: index % users.authorized if index < half
+                else users.authorized + (index - half) % users.other_bpsk
+                for index in (0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1,
+                              2 * BLOCK_ROWS, len(stored) - 1)}
+        assert_pairs_regenerate(config, stored, S_TEST, Epoch.TEST, rows)
+
+
+def assert_pairs_regenerate(config, stored, stream, epoch, rows):
+    """Each stored pair at index i equals its transmission regenerated alone.
+
+    rows maps each index to check to the population row it observes. The
+    noise comes from the pair's own default_rng((seed, stream, i)).
+    """
+    population = apply_scenario_constraints(config)
+    e_phi, e_p = config.noise.phase_bound_rad, config.noise.power_bound
+    for index, row in rows.items():
+        rng = np.random.default_rng((config.seed, stream, index))
+        provider_phase = rng.uniform(-e_phi, e_phi, 16)
+        provider_power = rng.uniform(-e_p, e_p, 16)
+        adversary_phase = rng.uniform(-e_phi, e_phi, 16)
+        adversary_power = rng.uniform(-e_p, e_p, 16)
+        noise = np.array([[[provider_phase, provider_power],
+                           [adversary_phase, adversary_power]]])
+        modulation = Modulation.QPSK if row < config.users.authorized else Modulation.BPSK
+        provider, adversary = transmit_paired(
+            modulate(PILOT_BITS[modulation], modulation),
+            population.device_phase[[row]], population.link_phase[[row], :, epoch],
+            population.power[[row], :, epoch], noise)
+        assert stored.provider.tx_id[index] == row + 1
+        assert np.array_equal(provider[0][0], stored.provider.phases[index])
+        assert np.array_equal(provider[1][0], stored.provider.powers[index])
+        assert np.array_equal(adversary[0][0], stored.adversary.phases[index])
+        assert np.array_equal(adversary[1][0], stored.adversary.powers[index])
+
+
+class TestSharedTrainingRows:
+    """train_pairs_class1.provider is a view of provider_train's class-1 rows."""
+
+    def test_class_one_provider_rows_are_stored_once(self, small_bundle):
+        shared = small_bundle.train_pairs_class1.provider
+        train = small_bundle.provider_train
+        for name in ("phases", "powers", "tx_id", "class_label"):
+            assert np.shares_memory(getattr(shared, name), getattr(train, name)), name
+            assert np.array_equal(getattr(shared, name), getattr(train, name)[:len(shared)])
+
+    @pytest.mark.parametrize("table", ["provider_train", "train_pairs_class1"])
+    @pytest.mark.parametrize("column", ["phases", "powers", "tx_id", "class_label"])
+    def test_shared_rows_are_read_only(self, small_bundle, table, column):
+        signals = getattr(small_bundle, table)
+        if isinstance(signals, Pairs):
+            signals = signals.provider
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(signals, column)[0] = 0
 
 
 class TestStreamNoise:
@@ -373,6 +428,17 @@ class TestStreamNoise:
         fast = stream_noise(noise, seed, stream, n, views)
         assert fast.shape == (n, views, 2, 16)
         assert fast.tobytes() == stream_noise_oracle(noise, seed, stream, n, views).tobytes()
+
+    @pytest.mark.parametrize("start, n", [(1, 40), (BLOCK_ROWS - 5, 10), (BLOCK_ROWS, 7),
+                                          (2 * BLOCK_ROWS - 3, BLOCK_ROWS + 6)])
+    @pytest.mark.parametrize("views", [1, 2])
+    def test_row_offset_equals_rows_of_a_whole_call(self, start, n, views):
+        noise = NoiseModel()
+        rows = stream_noise(noise, 21, S_TEST, n, views, start)
+        whole = stream_noise(noise, 21, S_TEST, start + n, views)
+        assert rows.tobytes() == whole[start:].tobytes()
+        oracle = stream_noise_oracle(noise, 21, S_TEST, start + n, views)
+        assert rows.tobytes() == oracle[start:].tobytes()
 
     def test_largest_accepted_bound_draws_like_uniform(self):
         largest = np.finfo(float).max / 2  # its range, 2 * bound, is the largest float
