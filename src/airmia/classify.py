@@ -106,14 +106,10 @@ def posterior_matrix(net: DenseNetwork, samples) -> np.ndarray:
     return post
 
 
-def _granted(post: np.ndarray) -> np.ndarray:
-    """The labels that (n, 2) posteriors grant: argmax, with a tie as class 0."""
-    return (post[:, 1] > post[:, 0]).astype(int)
-
-
 def predicted_labels(net: DenseNetwork, samples) -> np.ndarray:
     """The labels net grants samples; an exact posterior tie denies service (class 0)."""
-    return _granted(posterior_matrix(net, samples))
+    post = posterior_matrix(net, samples)
+    return (post[:, 1] > post[:, 0]).astype(int)
 
 
 def classification_accuracy(net: DenseNetwork, samples: Signals) -> float:
@@ -135,12 +131,10 @@ def _fit(role: str, train_samples: Signals, test_samples: Signals, hyper: TrainH
     net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)
     net, history = train_supervised(net, x, train_samples.class_label, hyper)
     elapsed = time.perf_counter() - started
-    # infer's blocks of x are posterior_matrix's, so this is train_samples' accuracy
-    train_accuracy = float(np.mean(_granted(infer(net, x)) == train_samples.class_label))
-    del x  # freed before the test set is scored
+    del x  # freed before either set is scored
     report = ClassifierReport(
         role=role,
-        train_accuracy=train_accuracy,
+        train_accuracy=classification_accuracy(net, train_samples),
         test_accuracy=classification_accuracy(net, test_samples),
         loss_history=history,
         dataset_sizes={"train": len(train_samples), "test": len(test_samples)},

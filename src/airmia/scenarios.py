@@ -330,7 +330,6 @@ class DataBundle:
 
     config: ScenarioConfig
     provider_train: Signals
-    train_pairs_class1: Pairs
     member_eval: Signals
     nonmember_eval: Signals
     surrogate_pairs: Pairs
@@ -342,7 +341,6 @@ def dataset_tables(config: ScenarioConfig) -> dict:
     """Each DataBundle table in field order: its CSV kind and the len() config implies."""
     c = config.counts
     return {"provider_train": ("samples", c.provider_train),
-            "train_pairs_class1": ("pairs", c.provider_train // 2),
             "member_eval": ("samples", c.member_eval),
             "nonmember_eval": ("samples", c.nonmember_eval),
             "surrogate_pairs": ("pairs", c.surrogate_train),
@@ -493,17 +491,17 @@ def stream_noise(noise: NoiseModel, seed: int, stream: int, n: int, views: int,
 def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     """Generate all datasets for one scenario seed.
 
-    provider_train: half authorized QPSK (class 1, training epoch, also kept
-    as paired observations) and half other-user BPSK (class 0). member_eval:
-    adversary views of randomly chosen class-1 training transmissions.
+    provider_train: half authorized QPSK (class 1) and half other-user BPSK
+    (class 0), at the training epoch. member_eval: adversary views of
+    randomly chosen class-1 training transmissions; the adversary views of
+    the other class-1 rows are not kept, and regenerate exactly from the seed.
     nonmember_eval: half fresh authorized QPSK, half unauthorized QPSK, all
     adversary views at the collection epoch. surrogate and test traffic are
     fresh paired transmissions at the collection epoch.
 
     Each dataset stream is one run of population rows: the i-th row's noise
     comes from substream (seed, stream, i). Rows are observed BLOCK_ROWS at
-    a time. The class-1 rows of provider_train are stored once:
-    train_pairs_class1.provider is a view of them, and both are read-only.
+    a time.
     """
     population = apply_scenario_constraints(config)
     seed, counts = config.seed, config.counts
@@ -515,18 +513,11 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     def cycle(group, n):
         return group[np.arange(n) % len(group)]
 
-    def columns(n):
-        """Empty (phases, powers) columns for n rows."""
-        return np.empty((n, SYMBOLS_PER_SAMPLE)), np.empty((n, SYMBOLS_PER_SAMPLE))
-
-    def observe(stream, rows, epoch, views=RECEIVERS, member=False, out=None):
-        """Every row's transmission as one Signals table per receiver in views.
-
-        Each view's rows land in its (phases, powers) columns of out, which
-        are fresh unless given.
-        """
+    def observe(stream, rows, epoch, views=RECEIVERS, member=False):
+        """Every row's transmission as one Signals table per receiver in views."""
         rx = [RECEIVERS.index(view) for view in views]
-        out = out or [columns(len(rows)) for _ in rx]
+        out = [(np.empty((len(rows), SYMBOLS_PER_SAMPLE)),
+                np.empty((len(rows), SYMBOLS_PER_SAMPLE))) for _ in rx]
         for start in range(0, len(rows), BLOCK_ROWS):
             block = rows[start:start + BLOCK_ROWS]
             noise = stream_noise(config.noise, seed, stream, len(block), len(rx), start)
@@ -556,23 +547,15 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
         return Pairs(*observe(stream, rows, Epoch.TEST))
 
     n_class1 = counts.provider_train // 2
-    class1 = cycle(auth, n_class1)
-    class0 = cycle(others, counts.provider_train - n_class1)
-    phases, powers = columns(counts.provider_train)
-    _, class1_adversary = observe(S_TRAIN_C1, class1, Epoch.TRAIN, member=True,
-                                  out=[(phases[:n_class1], powers[:n_class1]),
-                                       columns(n_class1)])
-    observe(S_TRAIN_C0, class0, Epoch.TRAIN, [Receiver.PROVIDER], member=True,
-            out=[(phases[n_class1:], powers[n_class1:])])
-    rows = np.concatenate([class1, class0])
-    provider_train = Signals(phases=phases, powers=powers, tx_id=rows + 1,
-                             class_label=rows < len(auth), view=Receiver.PROVIDER, member=True)
-    for column in (provider_train.phases, provider_train.powers,
-                   provider_train.tx_id, provider_train.class_label):
-        column.flags.writeable = False  # train_pairs_class1.provider shares these rows
-
+    class1_provider, class1_adversary = observe(
+        S_TRAIN_C1, cycle(auth, n_class1), Epoch.TRAIN, member=True)
+    [class0] = observe(S_TRAIN_C0, cycle(others, counts.provider_train - n_class1),
+                       Epoch.TRAIN, [Receiver.PROVIDER], member=True)
+    provider_train = joined(class1_provider, class0)
     choice_rng = np.random.default_rng((seed, S_MEMBER_CHOICE))
     member_indices = np.sort(choice_rng.permutation(n_class1)[:counts.member_eval])
+    member_eval = class1_adversary.take(member_indices)
+    del class1_provider, class1_adversary, class0  # freed before the fresh streams
 
     n_fresh_auth = counts.nonmember_eval // 2
     fresh_auth = cycle(auth, n_fresh_auth)
@@ -583,8 +566,7 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
     return DataBundle(
         config=config,
         provider_train=provider_train,
-        train_pairs_class1=Pairs(provider_train.take(slice(0, n_class1)), class1_adversary),
-        member_eval=class1_adversary.take(member_indices),
+        member_eval=member_eval,
         nonmember_eval=joined(fresh, mimic_adversary),
         surrogate_pairs=fresh_pairs(S_SURROGATE, counts.surrogate_train),
         test_pairs=fresh_pairs(S_TEST, counts.provider_test),

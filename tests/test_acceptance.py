@@ -7,6 +7,7 @@ run driven through the CLI. Run with `pytest tests/test_acceptance.py -v -s`.
 
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 
@@ -117,9 +118,13 @@ def test_criterion_09_gradient_correctness():
 def test_criterion_10_null_attack_control():
     accuracies = []
     for seed in (101, 102, 103, 104, 105):
-        config = scenarios.ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=seed)
+        # member_eval at the class-1 training count is every class-1 adversary view
+        counts = scenarios.ScenarioCounts()
+        config = scenarios.ScenarioConfig(
+            scenario=Scenario.FULL_STRONG, seed=seed,
+            counts=replace(counts, member_eval=counts.provider_train // 2))
         bundle = scenarios.generate_scenario_data(config)
-        pool = bundle.train_pairs_class1.adversary
+        pool = bundle.member_eval
         order = np.random.default_rng((seed, 99)).permutation(len(pool))
         members = pool.take(order[:1000])
         nonmembers = pool.take(order[1000:2000])

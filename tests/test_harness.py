@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from airmia import classify, cli, harness, mia, tinynn
+from airmia import classify, cli, harness, mia, scenarios, tinynn
 from airmia.errors import ArtifactError, InvalidConfigError, PipelineStageError
 from airmia.scenarios import Scenario, config_to_document
 from airmia.tinynn import OutputHead, init_network
@@ -52,12 +52,11 @@ class TestRunScenario:
         assert cell == small_run["out"] / "full-strong" / "17"
         for rel in ("config.json", "report.json", "confusion.csv", "confusion.json",
                     "timings.json",
-                    "datasets/provider_train.csv", "datasets/member_eval.csv",
-                    "datasets/nonmember_eval.csv", "datasets/test_pairs.csv",
-                    "datasets/surrogate_pairs.csv", "datasets/train_pairs_class1.csv",
                     "models/target.json", "models/surrogate.json", "models/mia.json",
                     "models/target_report.json", "models/surrogate_report.json"):
             assert (cell / rel).is_file(), rel
+        assert {p.name for p in (cell / "datasets").iterdir()} == \
+            {f"{name}.csv" for name in scenarios.dataset_tables(small_run["config"])}
         assert not list(cell.rglob("*.tmp"))  # write-then-rename left no temp files
 
     def test_timings_cover_every_stage_and_are_written_last(self, small_run):

@@ -288,9 +288,12 @@ class TestNullAttackSmallScale:
         # members and "nonmembers" drawn from one pool: no privacy signal
         from airmia.scenarios import generate_scenario_data
 
-        config = small_config(seed=21)
+        counts = small_config().counts
+        # member_eval at the class-1 training count is every class-1 adversary view
+        config = small_config(seed=21, counts=dataclasses.replace(
+            counts, member_eval=counts.provider_train // 2))
         bundle = generate_scenario_data(config)
-        pool = bundle.train_pairs_class1.adversary
+        pool = bundle.member_eval
         members, nonmembers = pool.take(np.s_[:60]), pool.take(np.s_[60:120])
         surrogate = random_surrogate(8)
         ds = mia.split_membership(members, nonmembers, seed=8, allow_overlap=True)

@@ -227,11 +227,18 @@ class TestScenarioConstraints:
             assert min(gaps) <= 0.05 + 1e-12
 
 
+@pytest.fixture(scope="module")
+def every_member_bundle():
+    """small_config's bundle with member_eval = every class-1 training row, in order."""
+    counts = small_config().counts
+    return generate_scenario_data(small_config(
+        counts=dataclasses.replace(counts, member_eval=counts.provider_train // 2)))
+
+
 class TestGenerateScenarioData:
     def test_bundle_counts_and_composition(self, small_bundle):
         c = small_bundle.config.counts
         assert len(small_bundle.provider_train) == c.provider_train
-        assert len(small_bundle.train_pairs_class1) == c.provider_train // 2
         assert len(small_bundle.member_eval) == c.member_eval
         assert len(small_bundle.nonmember_eval) == c.nonmember_eval
         assert len(small_bundle.surrogate_pairs) == c.surrogate_train
@@ -255,8 +262,8 @@ class TestGenerateScenarioData:
         devices = set(range(1, len(population.device_phase) + 1))
         b = small_bundle
         for table in (b.provider_train, b.member_eval, b.nonmember_eval,
-                      b.unauthorized_provider_views, b.train_pairs_class1.provider,
-                      b.surrogate_pairs.adversary, b.test_pairs.provider):
+                      b.unauthorized_provider_views, b.surrogate_pairs.adversary,
+                      b.test_pairs.provider):
             assert set(table.tx_id.tolist()) <= devices
             assert np.array_equal(table.class_label, np.isin(table.tx_id, authorized))
 
@@ -268,11 +275,10 @@ class TestGenerateScenarioData:
                 (b.nonmember_eval, Receiver.ADVERSARY, False),
                 (b.unauthorized_provider_views, Receiver.PROVIDER, False)):
             assert table.view is view and table.member is member
-        for pairs, member in ((b.train_pairs_class1, True), (b.surrogate_pairs, False),
-                              (b.test_pairs, False)):
+        for pairs in (b.surrogate_pairs, b.test_pairs):
             assert pairs.provider.view is Receiver.PROVIDER
             assert pairs.adversary.view is Receiver.ADVERSARY
-            assert pairs.provider.member is pairs.adversary.member is member
+            assert pairs.provider.member is pairs.adversary.member is False
             assert np.array_equal(pairs.provider.tx_id, pairs.adversary.tx_id)
             assert np.array_equal(pairs.provider.class_label, pairs.adversary.class_label)
 
@@ -285,8 +291,8 @@ class TestGenerateScenarioData:
         unauth_ids = set((user_rows(small_bundle.config)[2] + 1).tolist())
         assert set(small_bundle.nonmember_eval.tx_id[labels == 0].tolist()) <= unauth_ids
 
-    def test_member_eval_are_training_adversary_views(self, small_bundle):
-        train_adv = features_set(small_bundle.train_pairs_class1.adversary)
+    def test_member_eval_are_training_adversary_views(self, small_bundle, every_member_bundle):
+        train_adv = features_set(every_member_bundle.member_eval)
         assert features_set(small_bundle.member_eval) <= train_adv
         assert small_bundle.member_eval.member
         assert small_bundle.member_eval.view is Receiver.ADVERSARY
@@ -331,15 +337,16 @@ class TestGenerateScenarioData:
     def test_peak_memory_at_the_shipped_defaults(self):
         config = ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=3)
         peak = traced_peak_mb(lambda: generate_scenario_data(config))
-        # the bundle itself is about 10.5 MB of it
+        # the bundle itself is about 8.4 MB of it
         assert peak < 14, f"generation peaked {peak:.1f} MB above its start"
 
-    def test_samples_reproducible_from_their_substream(self, small_bundle):
+    def test_samples_reproducible_from_their_substream(self, every_member_bundle):
         # counter-based substreams: any sample can be regenerated standalone,
         # so generation order or parallelism cannot change the output
-        stored = small_bundle.train_pairs_class1
-        authorized = small_bundle.config.users.authorized
-        assert_pairs_regenerate(small_bundle.config, stored, S_TRAIN_C1, Epoch.TRAIN,
+        b = every_member_bundle
+        stored = Pairs(b.provider_train.take(slice(0, len(b.member_eval))), b.member_eval)
+        authorized = b.config.users.authorized
+        assert_pairs_regenerate(b.config, stored, S_TRAIN_C1, Epoch.TRAIN,
                                 {index: index % authorized  # class 1 cycles the authorized rows
                                  for index in (0, 7, len(stored) - 1)})
 
@@ -385,26 +392,6 @@ def assert_pairs_regenerate(config, stored, stream, epoch, rows):
         assert np.array_equal(provider[1][0], stored.provider.powers[index])
         assert np.array_equal(adversary[0][0], stored.adversary.phases[index])
         assert np.array_equal(adversary[1][0], stored.adversary.powers[index])
-
-
-class TestSharedTrainingRows:
-    """train_pairs_class1.provider is a view of provider_train's class-1 rows."""
-
-    def test_class_one_provider_rows_are_stored_once(self, small_bundle):
-        shared = small_bundle.train_pairs_class1.provider
-        train = small_bundle.provider_train
-        for name in ("phases", "powers", "tx_id", "class_label"):
-            assert np.shares_memory(getattr(shared, name), getattr(train, name)), name
-            assert np.array_equal(getattr(shared, name), getattr(train, name)[:len(shared)])
-
-    @pytest.mark.parametrize("table", ["provider_train", "train_pairs_class1"])
-    @pytest.mark.parametrize("column", ["phases", "powers", "tx_id", "class_label"])
-    def test_shared_rows_are_read_only(self, small_bundle, table, column):
-        signals = getattr(small_bundle, table)
-        if isinstance(signals, Pairs):
-            signals = signals.provider
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(signals, column)[0] = 0
 
 
 class TestStreamNoise:
