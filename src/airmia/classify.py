@@ -30,6 +30,7 @@ from .tinynn import (
     parse_document,
     read_json,
     train_supervised,
+    training_inputs,
 )
 
 CLASSIFIER_DIMS = [32, 100, 100, 100, 2]
@@ -124,8 +125,12 @@ def _check_balance(labels: np.ndarray, role: str) -> None:
 
 
 def _fit(role: str, train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
-    """Fit one classifier on train_samples' labels; report accuracy on both sets."""
-    x = features_matrix(train_samples)
+    """Fit one classifier on train_samples' labels; report accuracy on both sets.
+
+    It trains in float32 (train_supervised); the training matrix is rounded
+    to float32 at once, so only that copy is alive while it trains.
+    """
+    x = training_inputs(features_matrix(train_samples))
     _check_balance(train_samples.class_label, role)
     started = time.perf_counter()
     net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, hyper.seed)

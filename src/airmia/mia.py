@@ -22,6 +22,7 @@ from .tinynn import (
     DenseNetwork,
     OutputHead,
     PROB_FLOOR,
+    SIGMOID_Z_CLIP,
     TrainHyper,
     adam_step,  # unused here; perfbench's test_tracer_catches_calls_made_from_mia reads it
     atomic_write_text,
@@ -136,7 +137,9 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
 
     Implemented as Adam descent on the negated gain; per-sample terms are
     weighted so each side contributes 1/2 regardless of partition sizes.
-    Returns the model and the per-epoch gain on both partitions.
+    Training stays in float64: near the sigmoid's clip at |z| = 30, float32
+    rounds m to exactly 1.0, 1 - m hits PROB_FLOOR and the gain gradient
+    becomes 1e12. Returns the model and the per-epoch gain on both partitions.
     """
     for idx, side in ((dataset.member_train_idx, "member train"),
                       (dataset.nonmember_train_idx, "nonmember train"),
@@ -160,12 +163,15 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
 
     net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, hyper.seed)
 
-    def output_grad(idx, out):
+    def logit_grad(idx, out, z):
         m = out[:, 0]
         g = np.where(is_member[idx],
                      -1.0 / np.maximum(m, PROB_FLOOR),
                      1.0 / np.maximum(1.0 - m, PROB_FLOOR))
-        return (g * weights[idx] / idx.size)[:, None]
+        g_out = (g * weights[idx] / idx.size)[:, None]
+        # the clipped sigmoid's derivative: m (1 - m) inside the clip, 0 outside
+        inside = (np.abs(z) < SIGMOID_Z_CLIP).astype(float)
+        return g_out * out * (1.0 - out) * inside
 
     def gains():
         mem_probs, non_probs = infer(net, x_members)[:, 0], infer(net, x_nonmembers)[:, 0]
@@ -176,7 +182,7 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
                            non_probs[dataset.nonmember_test_idx]),
         )
 
-    history = minibatch_adam(net, x_train, hyper, output_grad, gains, "gain")
+    history = minibatch_adam(net, x_train, hyper, logit_grad, gains, "gain")
     return MiaModel(network=net), {"train": [train for train, _ in history],
                                    "test": [test for _, test in history]}
 

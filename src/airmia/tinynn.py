@@ -1,9 +1,12 @@
 """Minimal dense feedforward network engine.
 
-Double-precision numpy throughout: plain matmul forward, hand-written
-reverse-mode gradients, Adam updates, and one mini-batch Adam loop
-(minibatch_adam) that fits every network. Two output heads are supported: a
-two-way softmax posterior and a scalar sigmoid.
+Plain matmul forward, hand-written reverse-mode gradients, Adam updates, and
+one mini-batch Adam loop (minibatch_adam) that fits every network. Two output
+heads are supported: a two-way softmax posterior and a scalar sigmoid. Every
+step runs in the network's own dtype. Networks are built, scored and stored in
+float64; train_supervised fits the classifiers on a float32 copy and writes
+the result back, so each stored weight is a float64 holding a float32 value.
+The inference model trains in float64 (see mia.train_mia).
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
@@ -116,7 +119,7 @@ def _layer_views(flat: np.ndarray, dims):
 @dataclass
 class DenseNetwork:
     layer_dims: list[int]
-    params: np.ndarray  # every weight and bias in one float64 vector, see _layer_views
+    params: np.ndarray  # every weight and bias in one vector, see _layer_views
     output_head: OutputHead
     weights: list[np.ndarray] = field(init=False, repr=False)  # views, (fan_in, fan_out)
     biases: list[np.ndarray] = field(init=False, repr=False)  # views, (fan_out,)
@@ -189,7 +192,7 @@ def _sigmoid_clipped(z: np.ndarray) -> np.ndarray:
 
 
 def _input_batch(net: DenseNetwork, inputs) -> np.ndarray:
-    x = np.asarray(inputs, dtype=float)
+    x = np.asarray(inputs, dtype=net.params.dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise InvalidInputError(
             f"expected input of shape (n, {net.input_dim}), got {x.shape}")
@@ -232,7 +235,7 @@ def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
     the previous activation, the pre-activation and the new activation.
     """
     x = _input_batch(net, inputs)
-    out = np.empty((x.shape[0], net.layer_dims[-1]))
+    out = np.empty((x.shape[0], net.layer_dims[-1]), dtype=x.dtype)
     for start in range(0, x.shape[0], INFER_ROWS):
         for z, a in _layers(net, x[start:start + INFER_ROWS]):
             del z  # the next layer needs only the activation
@@ -240,26 +243,19 @@ def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNetwork, cache, grad_output: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradients given d(loss)/d(output) per batch row.
+def backward(net: DenseNetwork, cache, grad_logits: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradients given d(loss)/d(z) per batch row.
 
-    Returns one vector laid out like net.params. Gradients are sums over the
-    batch; callers scale grad_output for mean losses. ReLU subgradient at
-    exactly 0 is taken as 0.
+    z is the output layer's pre-activation, so each loss owns its head's
+    derivative. Returns one vector laid out like net.params, in its dtype.
+    Gradients are sums over the batch; callers scale grad_logits for mean
+    losses. ReLU subgradient at exactly 0 is taken as 0.
     """
     activations, pre_acts = cache
-    g_out = np.asarray(grad_output, dtype=float)
-    out = activations[-1]
-    if g_out.shape != out.shape:
-        raise InvalidInputError(f"grad_output shape {g_out.shape} != output shape {out.shape}")
-
-    if net.output_head is OutputHead.SOFTMAX2:
-        # Jacobian of softmax: dz_i = p_i * (g_i - sum_j g_j p_j)
-        dz = out * (g_out - (g_out * out).sum(axis=1, keepdims=True))
-    else:
-        z = pre_acts[-1]
-        inside = (np.abs(z) < SIGMOID_Z_CLIP).astype(float)
-        dz = g_out * out * (1.0 - out) * inside
+    dz = np.asarray(grad_logits, dtype=net.params.dtype)
+    if dz.shape != pre_acts[-1].shape:
+        raise InvalidInputError(
+            f"grad_logits shape {dz.shape} != output shape {pre_acts[-1].shape}")
 
     grads = np.empty_like(net.params)
     grads_w, grads_b = _layer_views(grads, net.layer_dims)
@@ -276,7 +272,8 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     """Standard Adam update with bias correction, applied in place to net.params.
 
     Computes params -= lr * (m / c1) / (sqrt(v / c2) + eps) in that
-    per-element order, with c = 1 - beta ** t, entirely in place.
+    per-element order, with c = 1 - beta ** t, entirely in place. Once c1
+    rounds to 1.0 (t >= 356) the divide is skipped: m / 1.0 is m bit for bit.
     """
     if grads.shape != net.params.shape or any(
             a.shape != net.params.shape
@@ -293,8 +290,12 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     a *= grads
     v *= ADAM_BETA2
     v += a
-    np.divide(m, 1 - ADAM_BETA1 ** t, out=a)
-    a *= state.learning_rate
+    c1 = 1 - ADAM_BETA1 ** t
+    if c1 == 1.0:
+        np.multiply(m, state.learning_rate, out=a)
+    else:
+        np.divide(m, c1, out=a)
+        a *= state.learning_rate
     np.divide(v, 1 - ADAM_BETA2 ** t, out=b)
     np.sqrt(b, out=b)
     b += ADAM_EPSILON
@@ -303,13 +304,14 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     return net, state
 
 
-def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, output_grad,
+def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, logit_grad,
                    epoch_end, what: str) -> list:
     """Mini-batch Adam over the rows of x; net.params is updated in place.
 
     Each epoch visits the rows in a fresh permutation drawn from
-    (hyper.seed, 1), hyper.batch_size rows at a time. output_grad(idx, out)
-    returns d(loss)/d(output) for the rows idx given their outputs out.
+    (hyper.seed, 1), hyper.batch_size rows at a time. logit_grad(idx, out, z)
+    returns d(loss)/d(z) for the rows idx given their outputs out and the
+    output layer's pre-activations z.
     epoch_end() returns the epoch's metric (a number or a tuple of numbers),
     which must be finite, as must the parameters; the error names `what`.
     Returns the per-epoch metrics.
@@ -323,7 +325,7 @@ def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, output_g
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
             out, cache = forward_batch(net, x[idx])
-            grads = backward(net, cache, output_grad(idx, out))
+            grads = backward(net, cache, logit_grad(idx, out, cache[1][-1]))
             adam_step(net, grads, state)
         history.append(epoch_end())
         if not (np.isfinite(history[-1]).all() and np.isfinite(net.params).all()):
@@ -331,34 +333,69 @@ def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, output_g
     return history
 
 
+def cross_entropy_logit_grad(posteriors: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits) of a softmax batch: (p - onehot) / n, in p's dtype.
+
+    The fused form. The chain rule through the posterior, p * (g - <g, p>)
+    with g = -onehot / p, is exactly 0 for a row whose label probability has
+    underflowed to 0 (a logit gap past about 104 in float32), so such a row
+    would never recover; here it gets -1/n on its label.
+    """
+    n = posteriors.shape[0]
+    g = posteriors.copy()
+    g[np.arange(n), labels] -= 1
+    g /= n
+    return g
+
+
+def training_inputs(inputs) -> np.ndarray:
+    """inputs rounded once to float32, the dtype train_supervised trains in.
+
+    A value that is finite in float64 but outside float32's range would
+    become inf here, so any non-finite result is an InvalidInputError.
+    """
+    with np.errstate(over="ignore"):
+        x = np.asarray(inputs, dtype=np.float32)
+    if not np.isfinite(x).all():
+        raise InvalidInputError(
+            "training inputs must be finite and within float32's range "
+            f"(|x| <= {np.finfo(np.float32).max:.4g})")
+    return x
+
+
 def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
-    """Mini-batch Adam on cross-entropy. Returns (net, per-epoch loss history)."""
+    """Mini-batch Adam on cross-entropy, in float32. Returns (net, per-epoch loss history).
+
+    The inputs are rounded once to float32 (training_inputs) and a float32
+    copy of net is trained; the result is written back into net.params, so
+    scoring and persistence stay in float64 over float32-representable weights.
+    """
     if net.output_head is not OutputHead.SOFTMAX2:
         raise InvalidInputError("train_supervised requires a softmax2 head")
-    x = np.asarray(inputs, dtype=float)
+    x = training_inputs(inputs)
     y = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidInputError("training set must be a non-empty (n, d) array")
     if y.shape != (x.shape[0],) or not np.isin(y, (0, 1)).all():
         raise InvalidInputError("labels must be a vector of 0/1 matching the inputs")
-    onehot = np.eye(2)[y]
+    work = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(np.float32),
+                        output_head=net.output_head)
     loss_sum = 0.0
 
-    def output_grad(idx, out):
+    def logit_grad(idx, out, z):
         nonlocal loss_sum
         p_label = np.maximum(out[np.arange(idx.size), y[idx]], PROB_FLOOR)
         loss_sum += float(-np.log(p_label).sum())
-        # d(mean CE)/d(posterior): -onehot/p per row, averaged over the batch
-        g_out = -(onehot[idx] / np.maximum(out, PROB_FLOOR)) / idx.size
-        g_out[onehot[idx] == 0] = 0.0
-        return g_out
+        return cross_entropy_logit_grad(out, y[idx])
 
     def mean_loss():
         nonlocal loss_sum
         mean, loss_sum = loss_sum / x.shape[0], 0.0
         return mean
 
-    return net, minibatch_adam(net, x, hyper, output_grad, mean_loss, "loss")
+    history = minibatch_adam(work, x, hyper, logit_grad, mean_loss, "loss")
+    net.params[...] = work.params
+    return net, history
 
 
 def model_document(net: DenseNetwork) -> dict:

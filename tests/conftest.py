@@ -6,7 +6,7 @@ import pytest
 from airmia import classify, harness, scenarios, tinynn
 from airmia.errors import InvalidInputError
 from airmia.scenarios import Scenario, ScenarioConfig, ScenarioCounts
-from airmia.tinynn import PROB_FLOOR, DenseNetwork, OutputHead
+from airmia.tinynn import PROB_FLOOR, SIGMOID_Z_CLIP, DenseNetwork, OutputHead
 
 
 # ---------------------------------------------------------------------------
@@ -38,21 +38,22 @@ def numeric_gradient(loss_fn, arr: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def _head_loss_and_grad(net: DenseNetwork, x: np.ndarray, target: int):
-    # gradient of the floored loss: zero once the probability hits the floor
+    # d(loss)/d(logits) of the floored loss: zero once the probability hits the
+    # floor, and for the sigmoid head zero outside its clip
     out, cache = tinynn.forward_batch(net, x[None, :])
     if net.output_head is OutputHead.SOFTMAX2:
         loss = cross_entropy_loss(out[0], target)
-        g = np.zeros((1, 2))
         p = out[0, target]
-        g[0, target] = -1.0 / p if p > PROB_FLOOR else 0.0
+        g = out - np.eye(2)[target] if p > PROB_FLOOR else np.zeros((1, 2))
     else:
         m = out[0, 0]
-        if target == 1:
+        inside = abs(cache[1][-1][0, 0]) < SIGMOID_Z_CLIP
+        if target == 1:  # -log m, with dm/dz = m (1 - m)
             loss = float(-np.log(max(m, PROB_FLOOR)))
-            g = np.array([[-1.0 / m if m > PROB_FLOOR else 0.0]])
-        else:
+            g = np.array([[-(1.0 - m) if m > PROB_FLOOR and inside else 0.0]])
+        else:  # -log(1 - m)
             loss = float(-np.log(max(1.0 - m, PROB_FLOOR)))
-            g = np.array([[1.0 / (1.0 - m) if 1.0 - m > PROB_FLOOR else 0.0]])
+            g = np.array([[m if 1.0 - m > PROB_FLOOR and inside else 0.0]])
     return loss, cache, g
 
 
@@ -61,11 +62,12 @@ def grad_check(net: DenseNetwork, x, target: int, epsilon: float = 1e-5) -> floa
 
     The loss is the head's natural per-sample loss: cross-entropy against
     `target` for softmax2, the membership log term (target = 1 for member)
-    for the sigmoid head.
+    for the sigmoid head. backward gets that loss's gradient with respect to
+    the output logits.
     """
     x = np.asarray(x, dtype=float)
-    _, cache, g_out = _head_loss_and_grad(net, x, target)
-    analytic = tinynn.backward(net, cache, g_out)
+    _, cache, g_logits = _head_loss_and_grad(net, x, target)
+    analytic = tinynn.backward(net, cache, g_logits)
     numeric = numeric_gradient(
         lambda: _head_loss_and_grad(net, x, target)[0], net.params, epsilon)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

@@ -240,6 +240,21 @@ class TestStagedPipeline:
         err = capsys.readouterr().err
         assert "provider_train.csv" in err and "finite" in err
 
+    def test_power_beyond_float32_range_names_the_stage(self, config_file, tmp_path, capsys):
+        # 1e40 is a finite float64, but its feature (power / 10) overflows float32
+        argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert dispatch(["gen", *argv]) == 0
+        path = tmp_path / "out" / "full-strong" / "41" / "datasets" / "provider_train.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        column = lines[0].split(",").index("power_0")
+        fields = lines[1].split(",")
+        fields[column] = "1e40"
+        lines[1] = ",".join(fields)
+        path.write_text("".join(lines))
+        assert dispatch(["train", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "train-target" in err and "float32" in err
+
     def test_train_without_datasets_fails(self, config_file, tmp_path, capsys):
         assert dispatch(["train", "--config", str(config_file),
                          "--out", str(tmp_path / "empty")]) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmia import classify, mia
+from airmia import classify, mia, tinynn
 from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
 from airmia.tinynn import OutputHead, TrainHyper, init_network
 from conftest import small_config
@@ -147,6 +147,31 @@ class TestTrainMia:
         ma = np.convolve(train, np.ones(5) / 5, mode="valid")
         assert ma[-1] > ma[0]
         assert (np.diff(ma) >= -2e-3).all()
+
+    def test_logit_gradient_is_the_weighted_gain_derivative(self, small_bundle, monkeypatch):
+        # d(-G)/dz per row: -w (1 - m) / B for a member, w m / B for a nonmember,
+        # with side weight w = n_train / (2 n_side) and batch size B
+        ds = mia.split_membership(small_bundle.member_eval.take(np.s_[:40]),
+                                  small_bundle.nonmember_eval, seed=2)
+        surrogate = random_surrogate(4)
+        member_rows = {row.tobytes() for row in mia.mia_inputs(ds.members, surrogate)}
+        n_mem, n_non = len(ds.member_train_idx), len(ds.nonmember_train_idx)
+        w_mem, w_non = (n_mem + n_non) / (2 * n_mem), (n_mem + n_non) / (2 * n_non)
+        steps = []
+        real_backward = tinynn.backward
+
+        def recording_backward(net, cache, grad_logits):
+            steps.append((cache[0][0], cache[0][-1][:, 0], grad_logits))
+            return real_backward(net, cache, grad_logits)
+
+        monkeypatch.setattr(tinynn, "backward", recording_backward)
+        mia.train_mia(surrogate, ds, TrainHyper(epochs=2, batch_size=16, seed=2))
+        assert len(steps) == 2 * math.ceil((n_mem + n_non) / 16)
+        for x, m, grad in steps:
+            assert grad.dtype == x.dtype == np.float64 and grad.shape == (len(x), 1)
+            member = np.array([row.tobytes() in member_rows for row in x])
+            expected = np.where(member, -w_mem * (1 - m), w_non * m) / len(x)
+            np.testing.assert_allclose(grad[:, 0], expected, rtol=1e-12, atol=0)
 
     def test_non_finite_training_names_the_epoch(self, small_bundle):
         ds = mia.split_membership(small_bundle.member_eval, small_bundle.nonmember_eval, seed=1)

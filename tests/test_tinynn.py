@@ -10,16 +10,20 @@ from airmia.classify import CLASSIFIER_DIMS
 from airmia.errors import ArtifactError, InvalidInputError
 from airmia.mia import MIA_DIMS
 from airmia.scenarios import ScenarioCounts
+from airmia import tinynn
 from airmia.tinynn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
     INFER_ROWS,
+    PROB_FLOOR,
     AdamState,
+    DenseNetwork,
     OutputHead,
     TrainHyper,
     adam_step,
     backward,
+    cross_entropy_logit_grad,
     forward_batch,
     infer,
     init_network,
@@ -192,7 +196,8 @@ class TestBackward:
         assert (grads == 0).all()
 
     def test_single_sigmoid_layer_matches_hand_formula(self):
-        # 1x1 layer: m = sigmoid(w x + b); dL/dw = g m (1 - m) x, dL/db = g m (1 - m)
+        # 1x1 layer: m = sigmoid(z), z = w x + b. backward takes dL/dz, which
+        # for dL/dm = g is g m (1 - m); then dL/dw = g m (1 - m) x, dL/db = g m (1 - m)
         net = init_network([1, 1], OutputHead.SIGMOID_SCALAR, 0)
         net.weights[0][0, 0], net.biases[0][0] = 0.8, -0.3
         x, g = 1.7, 2.5
@@ -200,7 +205,7 @@ class TestBackward:
         m = out[0, 0]
         hand_m = 1 / (1 + math.exp(-(0.8 * x - 0.3)))
         assert abs(m - hand_m) < 1e-15
-        grads = backward(net, cache, np.array([[g]]))
+        grads = backward(net, cache, np.array([[g * m * (1 - m)]]))
         # layout [w00, b0], like net.params
         assert abs(grads[0] - g * m * (1 - m) * x) < 1e-12
         assert abs(grads[1] - g * m * (1 - m)) < 1e-12
@@ -210,7 +215,7 @@ class TestBackward:
         net = zero_network([5, 4, 2], OutputHead.SOFTMAX2)
         x = np.random.default_rng(1).normal(size=(1, 5))
         out, cache = forward_batch(net, x)
-        g = -1.0 / out  # d/dp of -log p0 - log p1
+        g = 2.0 * out - 1.0  # d/dz of -log p0 - log p1: (p - e0) + (p - e1)
         analytic = backward(net, cache, g)
         assert np.abs(analytic).max() < 1e-12
 
@@ -341,17 +346,48 @@ class TestAdam:
             adam_step(net, grads, AdamState.for_network(net))
 
 
-class TestTrainSupervised:
-    def separable_blobs(self, n=200):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(n // 2, 2)) + np.array([5.0, 5.0])
-        b = rng.normal(size=(n // 2, 2)) + np.array([-5.0, -5.0])
-        x = np.concatenate([a, b])
-        y = np.concatenate([np.ones(n // 2, dtype=int), np.zeros(n // 2, dtype=int)])
-        return x, y
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_step_after_bias_correction_rounds_to_one_is_the_two_operation_form(self, dtype):
+        # from t = 356 on, 1 - beta1 ** t is 1.0 and m / 1.0 is skipped
+        assert 1 - ADAM_BETA1 ** 355 != 1.0 and 1 - ADAM_BETA1 ** 356 == 1.0
+        rng = np.random.default_rng(7)
+        net = DenseNetwork(layer_dims=[5, 3, 1], params=rng.normal(size=22).astype(dtype),
+                           output_head=OutputHead.SIGMOID_SCALAR)
+        state = AdamState.for_network(net, learning_rate=3e-3)
+        state.first_moment[:] = rng.normal(size=22)
+        state.second_moment[:] = rng.random(22)
+        state.step_count = 350
+        params, m, v = net.params.copy(), state.first_moment.copy(), state.second_moment.copy()
+        for t in range(351, 361):
+            g = rng.normal(size=22).astype(dtype)
+            adam_step(net, g, state)
+            m *= ADAM_BETA1
+            m += g * (1 - ADAM_BETA1)
+            v *= ADAM_BETA2
+            v += g * (1 - ADAM_BETA2) * g
+            a = m / (1 - ADAM_BETA1 ** t)
+            a *= state.learning_rate
+            b = np.sqrt(v / (1 - ADAM_BETA2 ** t))
+            b += ADAM_EPSILON
+            params -= a / b
+            assert net.params.tobytes() == params.tobytes()
+        assert net.params.dtype == state.first_moment.dtype == dtype
+        assert state.first_moment.tobytes() == m.tobytes()
+        assert state.second_moment.tobytes() == v.tobytes()
 
+
+def separable_blobs(n=200):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(n // 2, 2)) + np.array([5.0, 5.0])
+    b = rng.normal(size=(n // 2, 2)) + np.array([-5.0, -5.0])
+    x = np.concatenate([a, b])
+    y = np.concatenate([np.ones(n // 2, dtype=int), np.zeros(n // 2, dtype=int)])
+    return x, y
+
+
+class TestTrainSupervised:
     def test_separable_blobs_reach_full_accuracy(self):
-        x, y = self.separable_blobs()
+        x, y = separable_blobs()
         net = init_network([2, 16, 2], OutputHead.SOFTMAX2, 4)
         net, history = train_supervised(net, x, y, TrainHyper(epochs=50, seed=4))
         out, _ = forward_batch(net, x)
@@ -359,7 +395,7 @@ class TestTrainSupervised:
         assert history[-1] < history[0]
 
     def test_same_seed_identical_weights(self):
-        x, y = self.separable_blobs(80)
+        x, y = separable_blobs(80)
         runs = []
         for _ in range(2):
             net = init_network([2, 8, 2], OutputHead.SOFTMAX2, 6)
@@ -386,12 +422,106 @@ class TestTrainSupervised:
         with pytest.raises(InvalidInputError):
             TrainHyper(epochs=0)
 
+    def test_float32_overflow_names_the_input(self):
+        # finite in float64, inf once rounded to float32
+        x = np.ones((4, 2))
+        x[2, 1] = 1e40
+        net = init_network([2, 2, 2], OutputHead.SOFTMAX2, 0)
+        before = net.params.copy()
+        with pytest.raises(InvalidInputError, match=r"training inputs .* float32's range"):
+            train_supervised(net, x, np.array([0, 1, 0, 1]), TrainHyper(epochs=1))
+        assert np.array_equal(net.params, before)
+
     def test_non_finite_training_names_the_epoch(self):
         x = np.random.default_rng(2).normal(size=(64, 32))
         y = np.arange(64) % 2
         net = init_network([32, 8, 2], OutputHead.SOFTMAX2, 2)
         with pytest.raises(InvalidInputError, match=r"non-finite loss .* after epoch \d"):
             train_supervised(net, x, y, TrainHyper(epochs=3, learning_rate=1e300, seed=2))
+
+
+class TestFloat32Training:
+    """Classifiers train on a float32 copy, on the fused cross-entropy logit gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_classifier_step_keeps_the_network_dtype(self, dtype):
+        net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 1)
+        net = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(dtype),
+                           output_head=net.output_head)
+        rng = np.random.default_rng(1)
+        out, cache = forward_batch(net, rng.normal(size=(64, 32)))  # float64 inputs
+        activations, pre_acts = cache
+        assert {a.dtype for a in activations + pre_acts} == {np.dtype(dtype)}
+        g = cross_entropy_logit_grad(out, rng.integers(0, 2, size=64))
+        grads = backward(net, cache, g)
+        state = AdamState.for_network(net)
+        adam_step(net, grads, state)
+        for a in (g, grads, net.params, state.first_moment, state.second_moment, *state.scratch):
+            assert a.dtype == dtype
+
+    def test_train_supervised_steps_in_float32(self, monkeypatch):
+        seen = set()
+        real_backward, real_adam = tinynn.backward, tinynn.adam_step
+
+        def traced_backward(net, cache, grad_logits):
+            grads = real_backward(net, cache, grad_logits)
+            seen.update(a.dtype for a in (*cache[0][1:], *cache[1], grad_logits, grads))
+            return grads
+
+        def traced_adam(net, grads, state):
+            seen.update(a.dtype for a in (net.params, state.first_moment, state.second_moment))
+            return real_adam(net, grads, state)
+
+        monkeypatch.setattr(tinynn, "backward", traced_backward)
+        monkeypatch.setattr(tinynn, "adam_step", traced_adam)
+        x, y = separable_blobs(80)
+        train_supervised(init_network([2, 8, 2], OutputHead.SOFTMAX2, 2), x, y,
+                         TrainHyper(epochs=2, seed=2))
+        assert seen == {np.dtype(np.float32)}
+
+    def test_returns_the_callers_float64_network_of_float32_values(self):
+        x, y = separable_blobs(80)
+        runs = []
+        for _ in range(2):
+            net = init_network([2, 8, 2], OutputHead.SOFTMAX2, 6)
+            trained, _ = train_supervised(net, x, y, TrainHyper(epochs=10, seed=6))
+            assert trained is net and net.params.dtype == np.float64
+            assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+            assert np.array_equal(net.params.astype(np.float32).astype(np.float64), net.params)
+            runs.append(net.params.tobytes())
+        assert runs[0] == runs[1]
+
+    def test_underflowed_label_probability_gets_minus_one_over_n(self):
+        # a logit gap of 200 underflows p to exactly 0 in float32
+        net = DenseNetwork(layer_dims=[1, 2], params=np.array([0, 200, 0, 0], np.float32),
+                           output_head=OutputHead.SOFTMAX2)
+        out, _ = forward_batch(net, np.ones((4, 1)))
+        labels = np.array([0, 1, 1, 1])
+        assert out[0, 0] == 0.0
+        g = cross_entropy_logit_grad(out, labels)
+        assert g.dtype == np.float32
+        assert g[0].tolist() == [-0.25, 0.25]
+        # the chain rule through the posterior gives that row nothing to learn from
+        g_post = -np.eye(2, dtype=np.float32)[labels] / np.maximum(out, PROB_FLOOR) / 4
+        chain = out * (g_post - (g_post * out).sum(axis=1, keepdims=True))
+        assert (chain[0] == 0).all()
+
+    def test_fused_gradient_equals_the_chain_rule_in_float64(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            net = random_small_net(rng, OutputHead.SOFTMAX2)
+            n = int(rng.integers(1, 65))
+            out, _ = forward_batch(net, rng.normal(size=(n, net.input_dim)))
+            labels = rng.integers(0, 2, size=n)
+            onehot = np.eye(2)[labels]
+            g_post = -(onehot / np.maximum(out, PROB_FLOOR)) / n
+            chain = out * (g_post - (g_post * out).sum(axis=1, keepdims=True))
+            keep = out[np.arange(n), labels] > PROB_FLOOR
+            # the chain rule's -1/(p n) + 1/n cancels as p nears 1, leaving it an
+            # absolute error of about one ulp of 1/n there
+            np.testing.assert_allclose(cross_entropy_logit_grad(out, labels)[keep],
+                                       chain[keep], rtol=1e-12,
+                                       atol=np.finfo(float).eps / n)
 
 
 def moving_average(values, window=5):
