@@ -33,7 +33,7 @@ from .tinynn import (
     training_inputs,
 )
 
-CLASSIFIER_DIMS = [32, 100, 100, 100, 2]
+CLASSIFIER_DIMS = [2 * SYMBOLS_PER_SAMPLE, 100, 100, 100, 2]
 
 REPORT_FORMAT_VERSION = "1"
 

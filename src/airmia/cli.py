@@ -51,14 +51,17 @@ def _resolve(args, *, need_cell: bool):
 
 
 def _parse_seeds(seeds) -> list[int]:
-    """Seeds from --seeds or a config document: integers or integer strings only."""
+    """Seeds from --seeds or a config document: a list or comma-separated string of integers."""
     if seeds is None:
         raise InvalidConfigError("no seeds given (use --seeds or a config file)")
     if isinstance(seeds, str):
         seeds = seeds.replace(",", " ").split()
+    if not isinstance(seeds, list):
+        raise InvalidConfigError(
+            f"seeds must be a list or a comma-separated string, got {seeds!r}")
     try:
         seeds = [int(s) if isinstance(s, str) else s for s in seeds]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidConfigError(f"seeds must be integers: {exc}") from exc
     if any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
         raise InvalidConfigError(f"seeds must be integers, got {seeds!r}")
@@ -169,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "membership inference attack pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeds_flag=False):
+    def add_command(name, handler, help_text, seeds_flag=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--scenario", choices=[s.value for s in Scenario])
         p.add_argument("--seed", type=int)
@@ -177,26 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
 
-    add_common(sub.add_parser("gen", help="generate and persist the datasets"))
-    add_common(sub.add_parser("train", help="train target and surrogate classifiers"))
-    add_common(sub.add_parser("attack", help="train and evaluate the inference model"))
-    add_common(sub.add_parser("run", help="run one scenario end to end"))
-    add_common(sub.add_parser("run-all", help="run every scenario for each seed"),
-               seeds_flag=True)
+    add_command("gen", _cmd_gen, "generate and persist the datasets")
+    add_command("train", _cmd_train, "train target and surrogate classifiers")
+    add_command("attack", _cmd_attack, "train and evaluate the inference model")
+    add_command("run", _cmd_run, "run one scenario end to end")
+    add_command("run-all", _cmd_run_all, "run every scenario for each seed", seeds_flag=True)
     rep = sub.add_parser("report", help="pretty-print a stored report")
+    rep.set_defaults(handler=_cmd_report)
     rep.add_argument("path", help="path to a report.json")
     rep.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "attack": _cmd_attack,
-    "run": _cmd_run,
-    "run-all": _cmd_run_all,
-    "report": _cmd_report,
-}
 
 
 def dispatch(argv) -> int:
@@ -206,7 +201,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except InvalidConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

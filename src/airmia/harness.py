@@ -320,8 +320,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
     return report
 
 
-ALL_SCENARIOS = (Scenario.FULL_STRONG, Scenario.SAME_POWER,
-                 Scenario.SAME_PHASE, Scenario.WEAK_AUTHORIZED)
+ALL_SCENARIOS = tuple(Scenario)
 
 
 def run_all(seeds, base_config: ScenarioConfig | None = None, out_dir=None,
@@ -413,7 +412,7 @@ def reevaluate_artifacts(directory) -> dict:
     art = load_artifacts(directory)
     bundle, target, surrogate = art["datasets"], art["target"], art["surrogate"]
     dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
-                                   derive_seed(bundle.config.seed, "split"))
+                                   PipelineHyper.for_config(bundle.config).split_seed)
     confusion, agreement, unauthorized_rate = _held_out_numbers(
         bundle, dataset, target, surrogate, art["mia_model"])
     accuracy, report = classify.classification_accuracy, art["report"]

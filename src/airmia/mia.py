@@ -34,10 +34,11 @@ from .tinynn import (
     parse_document,
     read_json,
 )
-from .classify import features_matrix, posterior_matrix
-from .rfsim import Signals
+from .classify import CLASSIFIER_DIMS, features_matrix, posterior_matrix
+from .rfsim import SYMBOLS_PER_SAMPLE, Signals
 
-MIA_DIMS = [34, 100, 100, 1]
+# mia_inputs: the scaled features, then the surrogate's posterior
+MIA_DIMS = [2 * SYMBOLS_PER_SAMPLE + CLASSIFIER_DIMS[-1], 100, 100, 1]
 
 MIA_FORMAT_VERSION = "1"
 
@@ -94,7 +95,6 @@ class MembershipDataset:
     member_test_idx: np.ndarray
     nonmember_train_idx: np.ndarray
     nonmember_test_idx: np.ndarray
-    allow_overlap: bool = False  # only for equal-distribution diagnostics
 
     def __post_init__(self):
         for pool, train, test, side in (
@@ -105,17 +105,19 @@ class MembershipDataset:
             if not np.array_equal(merged, np.arange(len(pool))):
                 raise InvalidConfigError(
                     f"{side} split is not a disjoint, exhaustive partition")
-        if not self.allow_overlap:
-            seen = {row.tobytes() for row in np.hstack([self.members.phases,
-                                                        self.members.powers])}
-            if any(row.tobytes() in seen for row in np.hstack([self.nonmembers.phases,
-                                                               self.nonmembers.powers])):
-                raise InvalidConfigError("member and nonmember sets overlap")
+            for idx, part in ((train, "train"), (test, "test")):
+                if len(idx) == 0:
+                    raise InvalidConfigError(f"degenerate split: empty {side} {part} partition")
 
 
-def split_membership(members: Signals, nonmembers: Signals, seed: int,
-                     allow_overlap: bool = False) -> MembershipDataset:
-    """Shuffle each side and split it in half into train/test partitions."""
+def split_membership(members: Signals, nonmembers: Signals, seed: int) -> MembershipDataset:
+    """Shuffle each side and split it in half into train/test partitions.
+
+    No nonmember row may equal a member row.
+    """
+    seen = {row.tobytes() for row in np.hstack([members.phases, members.powers])}
+    if any(row.tobytes() in seen for row in np.hstack([nonmembers.phases, nonmembers.powers])):
+        raise InvalidConfigError("member and nonmember sets overlap")
     rng = np.random.default_rng((seed, 0))
     mem_order = rng.permutation(len(members))
     non_order = rng.permutation(len(nonmembers))
@@ -128,7 +130,6 @@ def split_membership(members: Signals, nonmembers: Signals, seed: int,
         member_test_idx=np.sort(mem_order[n_mem_train:]),
         nonmember_train_idx=np.sort(non_order[:n_non_train]),
         nonmember_test_idx=np.sort(non_order[n_non_train:]),
-        allow_overlap=allow_overlap,
     )
 
 
@@ -141,13 +142,6 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
     rounds m to exactly 1.0, 1 - m hits PROB_FLOOR and the gain gradient
     becomes 1e12. Returns the model and the per-epoch gain on both partitions.
     """
-    for idx, side in ((dataset.member_train_idx, "member train"),
-                      (dataset.nonmember_train_idx, "nonmember train"),
-                      (dataset.member_test_idx, "member test"),
-                      (dataset.nonmember_test_idx, "nonmember test")):
-        if len(idx) == 0:
-            raise InvalidConfigError(f"degenerate split: empty {side} partition")
-
     x_members = mia_inputs(dataset.members, surrogate)
     x_nonmembers = mia_inputs(dataset.nonmembers, surrogate)
     x_train = np.concatenate([x_members[dataset.member_train_idx],

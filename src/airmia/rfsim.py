@@ -187,14 +187,14 @@ def propagate(base_phases, device_phase, link_phase, power, noise):
 
 
 def transmit_paired(base_phases, device_phase, link_phase, power, noise):
-    """Observe the same transmissions at the provider, then at the adversary.
+    """Observe the same transmissions at any number of receivers (views).
 
-    link_phase and power are (n, 2) and noise is (n, 2, 2, 16), with the
-    provider's links and noise first. Returns the provider's (phases,
-    powers), then the adversary's.
+    link_phase and power are (n, views) and noise is (n, views, 2, 16): each
+    view's links and noise in one column and block. Returns one (phases,
+    powers) per view, in order.
     """
     return tuple(propagate(base_phases, device_phase, link_phase[:, v], power[:, v], noise[:, v])
-                 for v in range(2))
+                 for v in range(link_phase.shape[1]))
 
 
 def snr_to_received_power(snr_db: float, noise_floor: float) -> float:

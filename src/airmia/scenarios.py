@@ -5,10 +5,10 @@ and unauthorized QPSK users that only appear at evaluation time) and draws
 one static channel per (user, receiver) pair. The result is one table,
 `Population`, with a row per user: its device phase, and its link phase and
 received power per receiver and epoch. Every dataset is a run of table
-rows observed through `rfsim.propagate`, BLOCK_ROWS rows at a time. Each
-sample's noise derives from its own counter-based random substream keyed
-by (seed, stream, index), so generation order, blocking or parallelism
-cannot change the output.
+rows observed through `rfsim.transmit_paired`, BLOCK_ROWS rows at a time.
+Each sample's noise derives from its own counter-based random substream
+keyed by (seed, stream, index), so generation order, blocking or
+parallelism cannot change the output.
 
 Signals collected while the authentication classifier's training data was
 recorded see the training-epoch channel state; everything fresh (surrogate
@@ -39,7 +39,6 @@ from .rfsim import (
     Signals,
     is_finite_real,
     modulate,
-    propagate,
     snr_to_received_power,
     transmit_paired,
     wrap_phase,
@@ -524,11 +523,8 @@ def generate_scenario_data(config: ScenarioConfig) -> DataBundle:
             base, device = pilots[block], population.device_phase[block]
             link = population.link_phase[block[:, None], rx, epoch]
             power = population.power[block[:, None], rx, epoch]
-            if len(rx) == len(RECEIVERS):
-                observations = transmit_paired(base, device, link, power, noise)
-            else:
-                observations = [propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])]
-            for (phases, powers), (block_phases, block_powers) in zip(out, observations):
+            for (phases, powers), (block_phases, block_powers) in zip(
+                    out, transmit_paired(base, device, link, power, noise)):
                 phases[start:start + len(block)] = block_phases
                 powers[start:start + len(block)] = block_powers
         return [Signals(phases=phases, powers=powers, tx_id=rows + 1,
@@ -658,7 +654,7 @@ def _parse_rows(path, rows_per_id: int):
                     raise ArtifactError(
                         f"{path}: malformed row, not {len(CSV_HEADER)} fields ({exc})") from exc
                 raise ArtifactError(f"{path}: malformed row ({exc})") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactError(f"cannot read dataset {path}: {exc}") from exc
     ints = rows["ints"]
     if not np.array_equal(ints[:, 0], np.arange(len(rows)) // rows_per_id):

@@ -449,7 +449,7 @@ def read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes not UTF-8, or text not JSON
         raise ArtifactError(f"cannot load {what} from {path}: {exc}") from exc
 
 

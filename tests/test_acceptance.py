@@ -130,7 +130,7 @@ def test_criterion_10_null_attack_control():
         nonmembers = pool.take(order[1000:2000])
         # fixed random feature map; both sets come from one distribution
         surrogate = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, seed)
-        ds = mia.split_membership(members, nonmembers, seed=seed, allow_overlap=True)
+        ds = mia.split_membership(members, nonmembers, seed=seed)
         model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=200, seed=seed))
         cm = mia.evaluate_mia(model, surrogate,
                               ds.members.take(ds.member_test_idx),

@@ -71,11 +71,18 @@ class TestUsageErrors:
     def test_unreadable_config_is_runtime_error(self, tmp_path, capsys):
         assert dispatch(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_undecodable_config_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff")
+        assert dispatch(["run", "--config", str(path)]) == 1
+        assert "cannot load config from" in capsys.readouterr().err
+
     def test_run_all_needs_enough_seeds(self, config_file, capsys):
         assert dispatch(["run-all", "--config", str(config_file),
                          "--seeds", "1,2"]) == 2
 
-    @pytest.mark.parametrize("seeds", [[1.5, 2.7, 3.2], [True, 2, 3]])
+    @pytest.mark.parametrize("seeds", [[1.5, 2.7, 3.2], [True, 2, 3],
+                                       {"1": 0, "2": 0, "3": 0}])
     def test_run_all_rejects_non_integer_seeds(self, tmp_path, seeds, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(harness, "run_scenario", lambda config, **kw: ran.append(config))
@@ -255,6 +262,19 @@ class TestStagedPipeline:
         err = capsys.readouterr().err
         assert "train-target" in err and "float32" in err
 
+    @pytest.mark.parametrize("line", [0, 1])  # the header, the first data row
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xc3"])
+    def test_undecodable_dataset_byte_names_the_file(self, config_file, tmp_path, capsys,
+                                                     line, byte):
+        argv = ["--config", str(config_file), "--out", str(tmp_path / "out")]
+        assert dispatch(["gen", *argv]) == 0
+        path = tmp_path / "out" / "full-strong" / "41" / "datasets" / "provider_train.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line] = byte + lines[line]
+        path.write_bytes(b"".join(lines))
+        assert dispatch(["train", *argv]) == 1
+        assert "provider_train.csv" in capsys.readouterr().err
+
     def test_train_without_datasets_fails(self, config_file, tmp_path, capsys):
         assert dispatch(["train", "--config", str(config_file),
                          "--out", str(tmp_path / "empty")]) == 1
@@ -330,6 +350,12 @@ class TestReport:
     def test_corrupt_report_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text("{oops")
+        assert dispatch(["report", str(path)]) == 1
+        assert "report.json" in capsys.readouterr().err
+
+    def test_undecodable_report_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\xff{}")
         assert dispatch(["report", str(path)]) == 1
         assert "report.json" in capsys.readouterr().err
 

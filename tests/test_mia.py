@@ -107,16 +107,33 @@ class TestSplitMembership:
             assert len(train) + len(test) == len(pool)
             assert len(train) == len(pool) // 2
 
+    @pytest.mark.parametrize("side", ["member", "nonmember"])
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_each_empty_partition_rejected_at_construction(self, small_bundle, side, part):
+        ds = mia.split_membership(small_bundle.member_eval,
+                                  small_bundle.nonmember_eval, seed=3)
+        pool = ds.members if side == "member" else ds.nonmembers
+        everything, nothing = np.arange(len(pool)), np.arange(0)
+        fields = {f"{side}_train_idx": nothing if part == "train" else everything,
+                  f"{side}_test_idx": nothing if part == "test" else everything}
+        with pytest.raises(InvalidConfigError,
+                           match=f"degenerate split: empty {side} {part} partition"):
+            dataclasses.replace(ds, **fields)
+
     def test_overlap_detected(self, small_bundle):
         with pytest.raises(InvalidConfigError, match="overlap"):
             mia.split_membership(small_bundle.member_eval,
                                  small_bundle.member_eval, seed=0)
 
-    def test_overlap_escape_hatch(self, small_bundle):
-        ds = mia.split_membership(small_bundle.member_eval,
-                                  small_bundle.member_eval, seed=0,
-                                  allow_overlap=True)
-        assert len(ds.members) == len(ds.nonmembers)
+    def test_overlap_of_one_row_detected(self, small_bundle):
+        # disjoint tables but for one nonmember row copied from a member row
+        members = small_bundle.member_eval
+        nonmembers = dataclasses.replace(
+            small_bundle.nonmember_eval,
+            phases=np.vstack([small_bundle.nonmember_eval.phases[:-1], members.phases[7:8]]),
+            powers=np.vstack([small_bundle.nonmember_eval.powers[:-1], members.powers[7:8]]))
+        with pytest.raises(InvalidConfigError, match="member and nonmember sets overlap"):
+            mia.split_membership(members, nonmembers, seed=0)
 
 
 class TestTrainMia:
@@ -129,8 +146,7 @@ class TestTrainMia:
         ds = mia.MembershipDataset(
             members=members, nonmembers=members,
             member_train_idx=idx[:20], member_test_idx=idx[20:],
-            nonmember_train_idx=idx[:20].copy(), nonmember_test_idx=idx[20:].copy(),
-            allow_overlap=True)
+            nonmember_train_idx=idx[:20].copy(), nonmember_test_idx=idx[20:].copy())
         model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=200, seed=5))
         probs = mia.membership_probabilities(model, surrogate, members)
         assert np.abs(probs - 0.5).mean() < 0.05
@@ -182,14 +198,13 @@ class TestTrainMia:
     def test_degenerate_split_rejected(self, small_bundle):
         ds = mia.split_membership(small_bundle.member_eval,
                                   small_bundle.nonmember_eval, seed=3)
-        broken = mia.MembershipDataset(
-            members=ds.members, nonmembers=ds.nonmembers,
-            member_train_idx=np.arange(len(ds.members)),
-            member_test_idx=np.arange(0),
-            nonmember_train_idx=ds.nonmember_train_idx,
-            nonmember_test_idx=ds.nonmember_test_idx)
         with pytest.raises(InvalidConfigError, match="empty member test"):
-            mia.train_mia(random_surrogate(), broken, TrainHyper(epochs=1))
+            mia.MembershipDataset(
+                members=ds.members, nonmembers=ds.nonmembers,
+                member_train_idx=np.arange(len(ds.members)),
+                member_test_idx=np.arange(0),
+                nonmember_train_idx=ds.nonmember_train_idx,
+                nonmember_test_idx=ds.nonmember_test_idx)
 
 
 class TestInferMembership:
@@ -321,7 +336,7 @@ class TestNullAttackSmallScale:
         pool = bundle.member_eval
         members, nonmembers = pool.take(np.s_[:60]), pool.take(np.s_[60:120])
         surrogate = random_surrogate(8)
-        ds = mia.split_membership(members, nonmembers, seed=8, allow_overlap=True)
+        ds = mia.split_membership(members, nonmembers, seed=8)
         model, _ = mia.train_mia(surrogate, ds, TrainHyper(epochs=60, seed=8))
         cm = mia.evaluate_mia(model, surrogate,
                               ds.members.take(ds.member_test_idx),

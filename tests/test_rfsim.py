@@ -155,6 +155,22 @@ class TestTransmitPaired:
         assert (provider_powers == 10.0).all()
         assert (adversary_powers == 5.0).all()
 
+    def test_one_view_equals_propagate_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        base, device = rng.uniform(0, TWO_PI, (5, 16)), rng.uniform(-10, 10, 5)
+        link, power = rng.uniform(-10, 10, (5, 1)), rng.uniform(0, 20, (5, 1))
+        noise = stream_noise(NOISE, 4, 0, 5, 1)
+        [(phases, powers)] = transmit_paired(base, device, link, power, noise)
+        want_phases, want_powers = propagate(base, device, link[:, 0], power[:, 0], noise[:, 0])
+        assert phases.tobytes() == want_phases.tobytes()
+        assert powers.tobytes() == want_powers.tobytes()
+
+    def test_views_come_back_in_order(self):
+        powers = np.array([[1.0, 2.0, 3.0]] * 2)
+        observed = transmit_paired(np.zeros(16), rows(2, 0.0), np.zeros((2, 3)), powers,
+                                   zero_noise(2, views=3))
+        assert [view_powers[0, 0] for _, view_powers in observed] == [1.0, 2.0, 3.0]
+
     def test_independent_noise_differs_in_every_feature(self):
         for seed in range(20):
             provider, adversary = transmit_paired(

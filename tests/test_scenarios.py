@@ -507,6 +507,20 @@ class TestCsvRoundTrip:
                 with pytest.raises(ArtifactError, match="header.csv: dataset has no rows"):
                     read(path)
 
+    # the header and the first data row, both in the chunk the header check
+    # decodes; then the last row, which np.loadtxt decodes as a malformed row
+    @pytest.mark.parametrize("line", [0, 1, -1])
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xc3"])
+    def test_undecodable_byte_names_the_file(self, small_bundle, tmp_path, line, byte):
+        path = tmp_path / "bytes.csv"
+        write_pairs_csv(small_bundle.surrogate_pairs, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line] = byte + lines[line]
+        path.write_bytes(b"".join(lines))
+        for read in (read_samples_csv, read_pairs_csv):
+            with pytest.raises(ArtifactError, match="bytes.csv.*can't decode byte"):
+                read(path)
+
     def test_unknown_view_rejected(self, small_bundle, tmp_path):
         path = tmp_path / "view.csv"
         write_samples_csv(small_bundle.member_eval, path)

@@ -555,6 +555,14 @@ class TestSerialization:
         for a in back.weights + back.biases:
             assert np.shares_memory(a, back.params)
 
+    @pytest.mark.parametrize("prefix", [b"\xff", b"\xc3"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, prefix):
+        path = tmp_path / "net.json"
+        save_model(init_network([3, 2], OutputHead.SOFTMAX2, 0), path)
+        path.write_bytes(prefix + path.read_bytes())
+        with pytest.raises(ArtifactError, match="cannot load model from .*net.json"):
+            load_model(path)
+
     def test_shape_mismatch_rejected(self):
         net = init_network([3, 2], OutputHead.SOFTMAX2, 0)
         doc = model_document(net)
