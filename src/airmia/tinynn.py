@@ -6,7 +6,10 @@ heads are supported: a two-way softmax posterior and a scalar sigmoid. Every
 step runs in the network's own dtype. Networks are built, scored and stored in
 float64; train_supervised fits the classifiers on a float32 copy and writes
 the result back, so each stored weight is a float64 holding a float32 value.
-The inference model trains in float64 (see mia.train_mia).
+The inference model trains in float64 (see mia.train_mia). A float32 Adam
+step flushes subnormal first moments to zero (see adam_step): dead units'
+decayed moments would otherwise run every step on the CPU's slow subnormal
+arithmetic.
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
@@ -50,6 +53,8 @@ INFER_ROWS = 1024
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Smallest normal float32; adam_step flushes float32 first moments below it.
+FLOAT32_TINY = np.finfo(np.float32).tiny
 
 
 # Thread-count setters exported by the OpenBLAS builds numpy ships or links,
@@ -274,6 +279,14 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     Computes params -= lr * (m / c1) / (sqrt(v / c2) + eps) in that
     per-element order, with c = 1 - beta ** t, entirely in place. Once c1
     rounds to 1.0 (t >= 356) the divide is skipped: m / 1.0 is m bit for bit.
+
+    In float32, m entries below finfo(float32).tiny in magnitude are set to
+    zero after the moment update. A dead ReLU unit's gradient is exactly 0,
+    so its m decays by beta1 into subnormals, which make every elementwise
+    pass several times slower; the update such an m makes is about
+    m * lr / eps < 1e-33, far below half an ulp of the trained weights.
+    Float64 moments never reach float64 subnormals in training and are left
+    as they are.
     """
     if grads.shape != net.params.shape or any(
             a.shape != net.params.shape
@@ -286,6 +299,10 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     np.multiply(grads, 1 - ADAM_BETA1, out=a)
     m *= ADAM_BETA1
     m += a
+    if m.dtype == np.float32:
+        np.abs(m, out=a)
+        np.greater_equal(a, FLOAT32_TINY, out=a)
+        m *= a  # x * 1.0 is x; a subnormal * 0.0 is a signed zero
     np.multiply(grads, 1 - ADAM_BETA2, out=a)
     a *= grads
     v *= ADAM_BETA2

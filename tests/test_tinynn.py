@@ -274,6 +274,23 @@ def gradient_sequences(draw):
     return draw(hnp.arrays(np.float64, (steps, size), elements=st.floats(-1e3, 1e3)))
 
 
+def unflushed_step(params, m, v, g, t, lr):
+    """adam_step's update without the subnormal flush, in its per-element order, in place."""
+    m *= ADAM_BETA1
+    m += g * (1 - ADAM_BETA1)
+    v *= ADAM_BETA2
+    v += g * (1 - ADAM_BETA2) * g
+    a = m / (1 - ADAM_BETA1 ** t)
+    a *= lr
+    b = np.sqrt(v / (1 - ADAM_BETA2 ** t))
+    b += ADAM_EPSILON
+    params -= a / b
+
+
+def subnormal(a: np.ndarray) -> np.ndarray:
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
 class TestAdam:
     @settings(max_examples=200, deadline=None)
     @given(gradient_sequences(), st.floats(1e-6, 1.0), st.booleans())
@@ -361,19 +378,87 @@ class TestAdam:
         for t in range(351, 361):
             g = rng.normal(size=22).astype(dtype)
             adam_step(net, g, state)
-            m *= ADAM_BETA1
-            m += g * (1 - ADAM_BETA1)
-            v *= ADAM_BETA2
-            v += g * (1 - ADAM_BETA2) * g
-            a = m / (1 - ADAM_BETA1 ** t)
-            a *= state.learning_rate
-            b = np.sqrt(v / (1 - ADAM_BETA2 ** t))
-            b += ADAM_EPSILON
-            params -= a / b
+            unflushed_step(params, m, v, g, t, state.learning_rate)
             assert net.params.tobytes() == params.tobytes()
         assert net.params.dtype == state.first_moment.dtype == dtype
         assert state.first_moment.tobytes() == m.tobytes()
         assert state.second_moment.tobytes() == v.tobytes()
+
+
+class TestSubnormalFlush:
+    """A float32 step sets first moments below finfo(float32).tiny to zero."""
+
+    def test_float32_moments_flushed_and_params_equal_the_unflushed_update(self):
+        rng = np.random.default_rng(5)
+        net = DenseNetwork(layer_dims=[4, 3, 1], params=rng.normal(size=19).astype(np.float32),
+                           output_head=OutputHead.SIGMOID_SCALAR)
+        state = AdamState.for_network(net, learning_rate=1e-3)
+        params, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
+        dead = np.arange(19) % 2 == 0
+        steps_with_subnormal_m = 0
+        # from step 6 on the dead entries' gradient is exactly 0, so the
+        # unflushed m decays by beta1 past tiny (about 830 steps from 0.5)
+        for t in range(1, 1201):
+            g = rng.normal(size=19).astype(np.float32)
+            if t > 5:
+                g[dead] = 0
+            adam_step(net, g, state)
+            unflushed_step(params, m, v, g, t, state.learning_rate)
+            fm = state.first_moment
+            assert not subnormal(fm).any(), f"step {t}"
+            assert np.array_equal(fm, np.where(subnormal(m), 0, m)), f"step {t}"
+            assert net.params.tobytes() == params.tobytes(), f"step {t}"
+            steps_with_subnormal_m += bool(subnormal(m).any())
+        assert steps_with_subnormal_m > 0
+        assert not subnormal(m[~dead]).any() and (fm[dead] == 0).all()
+        assert state.second_moment.tobytes() == v.tobytes()
+
+    def test_float64_subnormal_moments_left_as_the_unflushed_update(self):
+        rng = np.random.default_rng(6)
+        net = DenseNetwork(layer_dims=[4, 3, 1], params=rng.normal(size=19),
+                           output_head=OutputHead.SIGMOID_SCALAR)
+        state = AdamState.for_network(net, learning_rate=1e-3)
+        # 1e-307 decays below float64's tiny (2.2e-308) within 50 steps
+        state.first_moment[:] = rng.normal(size=19) * 1e-307
+        state.second_moment[:] = rng.random(19)
+        state.step_count = 400
+        params, m, v = net.params.copy(), state.first_moment.copy(), state.second_moment.copy()
+        dead = np.arange(19) % 2 == 0
+        for t in range(401, 461):
+            g = rng.normal(size=19)
+            g[dead] = 0
+            adam_step(net, g, state)
+            unflushed_step(params, m, v, g, t, state.learning_rate)
+        assert subnormal(m[dead]).all()
+        assert state.first_moment.tobytes() == m.tobytes()
+        assert net.params.tobytes() == params.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_allocates_nothing(self, dtype):
+        net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 3)
+        net = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(dtype),
+                           output_head=net.output_head)
+        rng = np.random.default_rng(3)
+        n = net.params.size
+        state = AdamState.for_network(net)
+        # half the entries get no gradient, so their m decays from 1e5 * tiny
+        # past tiny in about 110 steps
+        state.first_moment[:] = rng.normal(size=n) * (np.finfo(dtype).tiny * 1e5)
+        state.second_moment[:] = rng.random(n)
+        grads = rng.normal(size=n).astype(dtype)
+        grads[: n // 2] = 0
+
+        def steps():
+            for _ in range(300):
+                adam_step(net, grads, state)
+
+        peak = traced_peak_mb(steps)
+        if dtype is np.float32:
+            assert (state.first_moment[: n // 2] == 0).all()
+        else:
+            assert subnormal(state.first_moment[: n // 2]).all()
+        vector_mb = net.params.nbytes / 2 ** 20
+        assert peak < vector_mb / 4, f"300 steps rose {peak:.4f} MB; one vector is {vector_mb:.4f} MB"
 
 
 def separable_blobs(n=200):
@@ -478,6 +563,29 @@ class TestFloat32Training:
         train_supervised(init_network([2, 8, 2], OutputHead.SOFTMAX2, 2), x, y,
                          TrainHyper(epochs=2, seed=2))
         assert seen == {np.dtype(np.float32)}
+
+    def test_training_flushes_dead_units_decayed_moments(self, monkeypatch):
+        would_be_subnormal, stored_subnormal = 0, 0
+        real_adam = tinynn.adam_step
+
+        def traced_adam(net, grads, state):
+            nonlocal would_be_subnormal, stored_subnormal
+            m = state.first_moment
+            would_be_subnormal += int(subnormal(m * ADAM_BETA1 + grads * (1 - ADAM_BETA1)).sum())
+            result = real_adam(net, grads, state)
+            stored_subnormal += int(subnormal(m).sum())
+            return result
+
+        monkeypatch.setattr(tinynn, "adam_step", traced_adam)
+        x, y = separable_blobs(80)
+        # 1000 steps: long enough for a dead unit's m to decay from about 1e-4
+        # past tiny, which takes over 750
+        net, _ = train_supervised(init_network([2, 16, 16, 2], OutputHead.SOFTMAX2, 6), x, y,
+                                  TrainHyper(epochs=100, batch_size=8, learning_rate=1e-2, seed=6))
+        _, (_, pre_acts) = forward_batch(net, x)
+        assert (pre_acts[1] <= 0).all(axis=0).any(), "no second-layer unit is dead"
+        assert would_be_subnormal > 0
+        assert stored_subnormal == 0
 
     def test_returns_the_callers_float64_network_of_float32_values(self):
         x, y = separable_blobs(80)
