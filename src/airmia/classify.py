@@ -127,7 +127,7 @@ def _check_balance(labels: np.ndarray, role: str) -> None:
 def _fit(role: str, train_samples: Signals, test_samples: Signals, hyper: TrainHyper):
     """Fit one classifier on train_samples' labels; report accuracy on both sets.
 
-    It trains in float32 (train_supervised); the training matrix is rounded
+    It trains in float32 (tinynn.minibatch_adam); the training matrix is rounded
     to float32 at once, so only that copy is alive while it trains.
     """
     x = training_inputs(features_matrix(train_samples))

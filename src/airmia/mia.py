@@ -85,6 +85,17 @@ def empirical_gain(member_probs, nonmember_probs) -> float:
     return float(0.5 * term_members + 0.5 * term_nonmembers)
 
 
+def gain_logit_grad(out, z, is_member, weights) -> np.ndarray:
+    """d(-G)/dz of a sigmoid batch, (m - is_member) * w / n per row, in m's dtype.
+
+    Fused, as tinynn.cross_entropy_logit_grad is; w is the row's side weight.
+    It is 0 past the sigmoid's clip and where the row's log term is floored.
+    """
+    m = out[:, 0]
+    live = (np.abs(z[:, 0]) < SIGMOID_Z_CLIP) & (np.where(is_member, m, 1 - m) > PROB_FLOOR)
+    return ((m - is_member) * weights.astype(m.dtype) * live / m.size)[:, None]
+
+
 @dataclass(frozen=True)
 class MembershipDataset:
     """Member/nonmember sample tables with a train/test partition per side."""
@@ -136,11 +147,11 @@ def split_membership(members: Signals, nonmembers: Signals, seed: int) -> Member
 def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainHyper):
     """Gradient ascent on the empirical gain over the train partition.
 
-    Implemented as Adam descent on the negated gain; per-sample terms are
-    weighted so each side contributes 1/2 regardless of partition sizes.
-    Training stays in float64: near the sigmoid's clip at |z| = 30, float32
-    rounds m to exactly 1.0, 1 - m hits PROB_FLOOR and the gain gradient
-    becomes 1e12. Returns the model and the per-epoch gain on both partitions.
+    Adam descent on the negated gain (gain_logit_grad), each side weighted to
+    contribute 1/2 whatever the partition sizes. Each epoch's gains score the
+    float64 network that minibatch_adam writes back, so the last train gain is
+    empirical_gain over the returned model's outputs. Returns the model and
+    the per-epoch gain on both partitions.
     """
     x_members = mia_inputs(dataset.members, surrogate)
     x_nonmembers = mia_inputs(dataset.nonmembers, surrogate)
@@ -157,16 +168,6 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
 
     net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, hyper.seed)
 
-    def logit_grad(idx, out, z):
-        m = out[:, 0]
-        g = np.where(is_member[idx],
-                     -1.0 / np.maximum(m, PROB_FLOOR),
-                     1.0 / np.maximum(1.0 - m, PROB_FLOOR))
-        g_out = (g * weights[idx] / idx.size)[:, None]
-        # the clipped sigmoid's derivative: m (1 - m) inside the clip, 0 outside
-        inside = (np.abs(z) < SIGMOID_Z_CLIP).astype(float)
-        return g_out * out * (1.0 - out) * inside
-
     def gains():
         mem_probs, non_probs = infer(net, x_members)[:, 0], infer(net, x_nonmembers)[:, 0]
         return (
@@ -175,6 +176,9 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
             empirical_gain(mem_probs[dataset.member_test_idx],
                            non_probs[dataset.nonmember_test_idx]),
         )
+
+    def logit_grad(idx, out, z):
+        return gain_logit_grad(out, z, is_member[idx], weights[idx])
 
     history = minibatch_adam(net, x_train, hyper, logit_grad, gains, "gain")
     return MiaModel(network=net), {"train": [train for train, _ in history],

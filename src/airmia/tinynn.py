@@ -4,12 +4,10 @@ Plain matmul forward, hand-written reverse-mode gradients, Adam updates, and
 one mini-batch Adam loop (minibatch_adam) that fits every network. Two output
 heads are supported: a two-way softmax posterior and a scalar sigmoid. Every
 step runs in the network's own dtype. Networks are built, scored and stored in
-float64; train_supervised fits the classifiers on a float32 copy and writes
-the result back, so each stored weight is a float64 holding a float32 value.
-The inference model trains in float64 (see mia.train_mia). A float32 Adam
-step flushes subnormal first moments to zero (see adam_step): dead units'
-decayed moments would otherwise run every step on the CPU's slow subnormal
-arithmetic.
+float64; minibatch_adam trains a float32 copy and writes it back, so each
+stored weight is a float64 holding a float32 value. A float32 Adam step
+flushes subnormal first moments to zero (see adam_step): dead units' decayed
+moments would otherwise run every step on the CPU's slow subnormal arithmetic.
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
@@ -285,8 +283,7 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     so its m decays by beta1 into subnormals, which make every elementwise
     pass several times slower; the update such an m makes is about
     m * lr / eps < 1e-33, far below half an ulp of the trained weights.
-    Float64 moments never reach float64 subnormals in training and are left
-    as they are.
+    No network trains in float64; float64 moments are left as they are.
     """
     if grads.shape != net.params.shape or any(
             a.shape != net.params.shape
@@ -321,29 +318,35 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
     return net, state
 
 
-def minibatch_adam(net: DenseNetwork, x: np.ndarray, hyper: TrainHyper, logit_grad,
+def minibatch_adam(net: DenseNetwork, inputs, hyper: TrainHyper, logit_grad,
                    epoch_end, what: str) -> list:
-    """Mini-batch Adam over the rows of x; net.params is updated in place.
+    """Mini-batch Adam over the rows of inputs, in float32; net.params is updated in place.
 
+    The inputs are rounded once to float32 (training_inputs). A float32 copy
+    of net trains and is written back into net.params after every epoch, so
+    epoch_end scores the float64 network, whose weights hold float32 values.
     Each epoch visits the rows in a fresh permutation drawn from
     (hyper.seed, 1), hyper.batch_size rows at a time. logit_grad(idx, out, z)
-    returns d(loss)/d(z) for the rows idx given their outputs out and the
-    output layer's pre-activations z.
-    epoch_end() returns the epoch's metric (a number or a tuple of numbers),
-    which must be finite, as must the parameters; the error names `what`.
-    Returns the per-epoch metrics.
+    returns d(loss)/d(z) for the rows idx given their float32 outputs out and
+    the output layer's pre-activations z. epoch_end() returns the epoch's
+    metric (a number or a tuple of numbers), which must be finite, as must
+    the parameters; the error names `what`. Returns the per-epoch metrics.
     """
+    x = training_inputs(inputs)
     n = x.shape[0]
+    work = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(np.float32),
+                        output_head=net.output_head)
     rng = np.random.default_rng((hyper.seed, 1))
-    state = AdamState.for_network(net, learning_rate=hyper.learning_rate)
+    state = AdamState.for_network(work, learning_rate=hyper.learning_rate)
     history = []
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
-            out, cache = forward_batch(net, x[idx])
-            grads = backward(net, cache, logit_grad(idx, out, cache[1][-1]))
-            adam_step(net, grads, state)
+            out, cache = forward_batch(work, x[idx])
+            grads = backward(work, cache, logit_grad(idx, out, cache[1][-1]))
+            adam_step(work, grads, state)
+        net.params[...] = work.params
         history.append(epoch_end())
         if not (np.isfinite(history[-1]).all() and np.isfinite(net.params).all()):
             raise InvalidInputError(f"non-finite {what} or parameters after epoch {epoch}")
@@ -366,7 +369,7 @@ def cross_entropy_logit_grad(posteriors: np.ndarray, labels: np.ndarray) -> np.n
 
 
 def training_inputs(inputs) -> np.ndarray:
-    """inputs rounded once to float32, the dtype train_supervised trains in.
+    """inputs rounded once to float32, the dtype minibatch_adam trains in.
 
     A value that is finite in float64 but outside float32's range would
     become inf here, so any non-finite result is an InvalidInputError.
@@ -381,12 +384,7 @@ def training_inputs(inputs) -> np.ndarray:
 
 
 def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
-    """Mini-batch Adam on cross-entropy, in float32. Returns (net, per-epoch loss history).
-
-    The inputs are rounded once to float32 (training_inputs) and a float32
-    copy of net is trained; the result is written back into net.params, so
-    scoring and persistence stay in float64 over float32-representable weights.
-    """
+    """Mini-batch Adam on cross-entropy. Returns (net, per-epoch loss history)."""
     if net.output_head is not OutputHead.SOFTMAX2:
         raise InvalidInputError("train_supervised requires a softmax2 head")
     x = training_inputs(inputs)
@@ -395,8 +393,6 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
         raise InvalidInputError("training set must be a non-empty (n, d) array")
     if y.shape != (x.shape[0],) or not np.isin(y, (0, 1)).all():
         raise InvalidInputError("labels must be a vector of 0/1 matching the inputs")
-    work = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(np.float32),
-                        output_head=net.output_head)
     loss_sum = 0.0
 
     def logit_grad(idx, out, z):
@@ -410,9 +406,7 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
         mean, loss_sum = loss_sum / x.shape[0], 0.0
         return mean
 
-    history = minibatch_adam(work, x, hyper, logit_grad, mean_loss, "loss")
-    net.params[...] = work.params
-    return net, history
+    return net, minibatch_adam(net, x, hyper, logit_grad, mean_loss, "loss")
 
 
 def model_document(net: DenseNetwork) -> dict:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from airmia import classify, mia, tinynn
 from airmia.errors import ArtifactError, InvalidConfigError, InvalidInputError
-from airmia.tinynn import OutputHead, TrainHyper, init_network
-from conftest import small_config
+from airmia.tinynn import SIGMOID_Z_CLIP, OutputHead, TrainHyper, init_network
+from conftest import _head_loss_and_grad, small_config
 
 REFERENCE_STRONG_RATES = [[0.9152, 0.0848], [0.1429, 0.8571]]
 REFERENCE_WEAK_RATES = [[0.9129, 0.0871], [0.3728, 0.6272]]
@@ -96,6 +96,38 @@ class TestEmpiricalGain:
             assert abs(direct - swapped) < 1e-12
 
 
+class TestGainLogitGrad:
+    """mia.gain_logit_grad against the criterion-9 oracle, one row at a time."""
+
+    # pre-activations inside the clip, past |z| = 30, and where the floor binds:
+    # a member's m <= 1e-12 from z = -27.7; a nonmember's 1 - m <= 1e-12 from
+    # z = 27.7 in float64 and from z = 16.7 in float32, where m rounds to 1.0
+    LOGITS = [-45.0, -31.0, -30.0, -29.9, -28.0, -5.0, 0.0, 0.3, 2.0, 16.0, 17.0,
+              28.0, 29.9, 30.0, 31.0, 45.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_the_oracle_times_weight_over_n(self, dtype):
+        # z = x through one unit weight, so each row's logit is its input
+        net = tinynn.DenseNetwork(layer_dims=[1, 1], params=np.array([1.0, 0.0], dtype),
+                                  output_head=OutputHead.SIGMOID_SCALAR)
+        x = np.array(self.LOGITS, dtype)[:, None]
+        out, (_, pre_acts) = tinynn.forward_batch(net, x)
+        n = len(x)
+        floor_zeros = {True: 0, False: 0}
+        for is_member in (np.arange(n) % 2 == 0, np.arange(n) % 2 == 1,
+                          np.ones(n, bool), np.zeros(n, bool)):
+            weights = np.where(is_member, 0.75, 1.5)
+            g = mia.gain_logit_grad(out, pre_acts[-1], is_member, weights)
+            assert g.dtype == dtype and g.shape == (n, 1)
+            for i in range(n):
+                _, _, oracle = _head_loss_and_grad(net, x[i], int(is_member[i]))
+                assert g[i, 0] == oracle[0, 0] * dtype(weights[i]) / dtype(n), (i, is_member[i])
+                if oracle[0, 0] == 0 and abs(self.LOGITS[i]) < SIGMOID_Z_CLIP:
+                    floor_zeros[bool(is_member[i])] += 1
+        # the floor binds inside the clip on each side
+        assert floor_zeros[True] > 0 and floor_zeros[False] > 0
+
+
 class TestSplitMembership:
     def test_partitions_disjoint_exhaustive(self, small_bundle):
         ds = mia.split_membership(small_bundle.member_eval,
@@ -165,12 +197,13 @@ class TestTrainMia:
         assert (np.diff(ma) >= -2e-3).all()
 
     def test_logit_gradient_is_the_weighted_gain_derivative(self, small_bundle, monkeypatch):
-        # d(-G)/dz per row: -w (1 - m) / B for a member, w m / B for a nonmember,
-        # with side weight w = n_train / (2 n_side) and batch size B
+        # d(-G)/dz per row: (m - 1) w / B for a member, m w / B for a nonmember,
+        # with side weight w = n_train / (2 n_side) and batch size B, on float32 batches
         ds = mia.split_membership(small_bundle.member_eval.take(np.s_[:40]),
                                   small_bundle.nonmember_eval, seed=2)
         surrogate = random_surrogate(4)
-        member_rows = {row.tobytes() for row in mia.mia_inputs(ds.members, surrogate)}
+        member_rows = {row.tobytes()
+                       for row in mia.mia_inputs(ds.members, surrogate).astype(np.float32)}
         n_mem, n_non = len(ds.member_train_idx), len(ds.nonmember_train_idx)
         w_mem, w_non = (n_mem + n_non) / (2 * n_mem), (n_mem + n_non) / (2 * n_non)
         steps = []
@@ -183,11 +216,39 @@ class TestTrainMia:
         monkeypatch.setattr(tinynn, "backward", recording_backward)
         mia.train_mia(surrogate, ds, TrainHyper(epochs=2, batch_size=16, seed=2))
         assert len(steps) == 2 * math.ceil((n_mem + n_non) / 16)
+        members_seen = 0
         for x, m, grad in steps:
-            assert grad.dtype == x.dtype == np.float64 and grad.shape == (len(x), 1)
+            assert grad.dtype == x.dtype == np.float32 and grad.shape == (len(x), 1)
             member = np.array([row.tobytes() in member_rows for row in x])
-            expected = np.where(member, -w_mem * (1 - m), w_non * m) / len(x)
-            np.testing.assert_allclose(grad[:, 0], expected, rtol=1e-12, atol=0)
+            members_seen += int(member.sum())
+            expected = (m.astype(float) - member) * np.where(member, w_mem, w_non) / len(x)
+            np.testing.assert_allclose(grad[:, 0], expected, rtol=1e-6, atol=0)
+        assert members_seen == 2 * n_mem
+
+    def test_all_training_runs_in_float32_and_writes_back_float64(self, small_bundle,
+                                                                  monkeypatch):
+        seen = set()
+        real_adam = tinynn.adam_step
+
+        def traced_adam(net, grads, state):
+            seen.update(a.dtype for a in (net.params, grads, state.first_moment))
+            return real_adam(net, grads, state)
+
+        monkeypatch.setattr(tinynn, "adam_step", traced_adam)
+        ds = mia.split_membership(small_bundle.member_eval, small_bundle.nonmember_eval, seed=4)
+        surrogate = random_surrogate(5)
+        model, history = mia.train_mia(surrogate, ds, TrainHyper(epochs=5, seed=4))
+        assert seen == {np.dtype(np.float32)}
+        params = model.network.params
+        assert params.dtype == np.float64
+        assert np.array_equal(params.astype(np.float32).astype(np.float64), params)
+        # the gains are scored on the written-back float64 network
+        mem = mia.membership_probabilities(model, surrogate, ds.members)
+        non = mia.membership_probabilities(model, surrogate, ds.nonmembers)
+        assert history["train"][-1] == mia.empirical_gain(mem[ds.member_train_idx],
+                                                          non[ds.nonmember_train_idx])
+        assert history["test"][-1] == mia.empirical_gain(mem[ds.member_test_idx],
+                                                         non[ds.nonmember_test_idx])
 
     def test_non_finite_training_names_the_epoch(self, small_bundle):
         ds = mia.split_membership(small_bundle.member_eval, small_bundle.nonmember_eval, seed=1)

@@ -28,6 +28,7 @@ from airmia.tinynn import (
     infer,
     init_network,
     load_model,
+    minibatch_adam,
     model_document,
     network_from_document,
     save_model,
@@ -526,7 +527,8 @@ class TestTrainSupervised:
 
 
 class TestFloat32Training:
-    """Classifiers train on a float32 copy, on the fused cross-entropy logit gradient."""
+    """Networks train on minibatch_adam's float32 copy; classifiers on the fused
+    cross-entropy logit gradient."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_classifier_step_keeps_the_network_dtype(self, dtype):
@@ -598,6 +600,25 @@ class TestFloat32Training:
             assert np.array_equal(net.params.astype(np.float32).astype(np.float64), net.params)
             runs.append(net.params.tobytes())
         assert runs[0] == runs[1]
+
+    def test_minibatch_adam_writes_the_copy_back_after_every_epoch(self):
+        x, y = separable_blobs(80)
+        net = init_network([2, 8, 2], OutputHead.SOFTMAX2, 3)
+        seen = []
+
+        def epoch_end():
+            seen.append(net.params.copy())
+            return 0.0
+
+        minibatch_adam(net, x, TrainHyper(epochs=3, seed=3),
+                       lambda idx, out, z: cross_entropy_logit_grad(out, y[idx]),
+                       epoch_end, "loss")
+        assert len(seen) == 3
+        assert not np.array_equal(seen[0], seen[1]) and not np.array_equal(seen[1], seen[2])
+        for params in seen:
+            assert params.dtype == np.float64
+            assert np.array_equal(params.astype(np.float32).astype(np.float64), params)
+        assert np.array_equal(seen[-1], net.params)
 
     def test_underflowed_label_probability_gets_minus_one_over_n(self):
         # a logit gap of 200 underflows p to exactly 0 in float32
