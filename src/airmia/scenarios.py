@@ -580,13 +580,18 @@ CSV_HEADER = (
     + [f"power_{i}" for i in range(SYMBOLS_PER_SAMPLE)]
 )
 
-def _rows(signals: Signals):
-    """CSV rows of a table; sample_id is the row position.
+# One CSV row as csv.writer would write it: ints and the view name as str()
+# gives them, each float as its repr (the shortest string that reads back to
+# the same float), comma-separated, "\r\n"-terminated. No field needs quoting.
+_CSV_LINE = ",".join(["%d"] * 4 + ["%s"] + ["%r"] * (2 * SYMBOLS_PER_SAMPLE)) + "\r\n"
 
-    Values come from .tolist() columns, so csv.writer prints each float with
-    repr, the shortest string that reads back to the same float. Columns are
-    converted BLOCK_ROWS rows at a time, so no whole table is ever held as
-    Python floats.
+
+def _lines(signals: Signals):
+    """A table's CSV lines; sample_id is the row position.
+
+    Values come from .tolist() columns, so each float is a Python float.
+    Columns are converted BLOCK_ROWS rows at a time, so no whole table is
+    ever held as Python floats.
     """
     view, member = signals.view.value, int(signals.member)
     for start in range(0, len(signals), BLOCK_ROWS):
@@ -594,23 +599,30 @@ def _rows(signals: Signals):
         for i, (tx_id, label, phases, powers) in enumerate(zip(
                 signals.tx_id[block].tolist(), signals.class_label[block].tolist(),
                 signals.phases[block].tolist(), signals.powers[block].tolist()), start):
-            yield [i, tx_id, label, member, view, *phases, *powers]
+            yield _CSV_LINE % (i, tx_id, label, member, view, *phases, *powers)
+
+
+def _write_csv(path, lines) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(lines)
 
 
 def write_samples_csv(samples: Signals, path) -> None:
-    """Export a table, one row per sample."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(_rows(samples))
+    """Export a table, one row per sample.
+
+    Each row is one _CSV_LINE format, which writes exactly csv.writer's
+    bytes; lines go to the file one at a time.
+    """
+    _write_csv(path, _lines(samples))
 
 
 def write_pairs_csv(pairs: Pairs, path) -> None:
-    """Export paired observations: provider row, then adversary row, sharing a sample_id."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(chain.from_iterable(zip(_rows(pairs.provider), _rows(pairs.adversary))))
+    """Export paired observations: provider row, then adversary row, sharing a sample_id.
+
+    The format is csv.writer's, as in write_samples_csv.
+    """
+    _write_csv(path, chain.from_iterable(zip(_lines(pairs.provider), _lines(pairs.adversary))))
 
 
 # One parsed CSV row: sample_id, tx_id, class, member; the view's RECEIVERS

@@ -8,6 +8,9 @@ float64; minibatch_adam trains a float32 copy and writes it back, so each
 stored weight is a float64 holding a float32 value. A float32 Adam step
 flushes subnormal first moments to zero (see adam_step): dead units' decayed
 moments would otherwise run every step on the CPU's slow subnormal arithmetic.
+Beyond its loss's gradient, a training step allocates no array:
+minibatch_adam steps forward_batch, backward and adam_step through one
+StepWorkspace per fit.
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
@@ -17,6 +20,7 @@ BLAS_THREADS records the outcome.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import enum
 import json
@@ -184,14 +188,51 @@ def init_network(layer_dims, output_head: OutputHead, seed: int) -> DenseNetwork
     return net
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(z: np.ndarray, out=None, column=None) -> np.ndarray:
+    """Row-wise softmax of z, written into out and using column (n, 1) if given."""
+    column = np.maximum.reduce(z, axis=1, keepdims=True, out=column)
+    e = np.subtract(z, column, out=out)
+    np.exp(e, out=e)
+    np.add.reduce(e, axis=1, keepdims=True, out=column)
+    return np.divide(e, column, out=e)
 
 
-def _sigmoid_clipped(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -SIGMOID_Z_CLIP, SIGMOID_Z_CLIP)))
+def _sigmoid_clipped(z: np.ndarray, out=None) -> np.ndarray:
+    s = np.clip(z, -SIGMOID_Z_CLIP, SIGMOID_Z_CLIP, out=out)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    return np.divide(1.0, s, out=s)
+
+
+class StepWorkspace:
+    """The arrays of one training step, allocated once for batches of up to `rows` rows.
+
+    Per layer: the pre-activation, the activation (the last is the head's
+    output) and, for hidden layers, the ReLU mask and the gradient with
+    respect to the pre-activation. Then the gathered input batch, the
+    softmax's (rows, 1) column, and one gradient vector laid out like the
+    network's params with its per-layer views. leading(k) views the first k
+    rows of every array, for a shorter batch; it shares the gradient vector.
+    """
+
+    def __init__(self, net: DenseNetwork, rows: int):
+        dims, dtype = net.layer_dims, net.params.dtype
+        self.inputs = np.empty((rows, dims[0]), dtype)
+        self.pre_acts = [np.empty((rows, d), dtype) for d in dims[1:]]
+        self.activations = [np.empty((rows, d), dtype) for d in dims[1:]]
+        self.masks = [np.empty((rows, d), bool) for d in dims[1:-1]]
+        self.deltas = [np.empty((rows, d), dtype) for d in dims[1:-1]]
+        self.column = np.empty((rows, 1), dtype)
+        self.grads = np.empty_like(net.params)
+        self.grads_w, self.grads_b = _layer_views(self.grads, dims)
+
+    def leading(self, rows: int) -> "StepWorkspace":
+        view = copy.copy(self)
+        for name in ("pre_acts", "activations", "masks", "deltas"):
+            setattr(view, name, [a[:rows] for a in getattr(self, name)])
+        view.inputs, view.column = self.inputs[:rows], self.column[:rows]
+        return view
 
 
 def _input_batch(net: DenseNetwork, inputs) -> np.ndarray:
@@ -202,28 +243,43 @@ def _input_batch(net: DenseNetwork, inputs) -> np.ndarray:
     return x
 
 
-def _layers(net: DenseNetwork, x: np.ndarray):
-    """Yield each layer's (pre-activation, activation) for the batch x, in order."""
+def _layers(net: DenseNetwork, x: np.ndarray, space: StepWorkspace | None = None):
+    """Yield each layer's (pre-activation, activation) for the batch x, in order.
+
+    With a workspace, each layer writes into its arrays; without one, each
+    layer allocates its own.
+    """
+    if space is None:
+        outs, column = [(None, None)] * len(net.weights), None
+    else:
+        outs, column = zip(space.pre_acts, space.activations), space.column
     a = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w
+    for i, (w, b, (z_out, a_out)) in enumerate(zip(net.weights, net.biases, outs)):
+        z = np.matmul(a, w, out=z_out)
         z += b  # the same rounding as a @ w + b, without its temporary
         if i < last:
-            a = np.maximum(0.0, z)
+            a = np.maximum(0.0, z, out=a_out)  # this argument order sets the sign of a zero
         elif net.output_head is OutputHead.SOFTMAX2:
-            a = _softmax_rows(z)
+            a = _softmax_rows(z, a_out, column)
         else:
-            a = _sigmoid_clipped(z)
+            a = _sigmoid_clipped(z, a_out)
         yield z, a
 
 
-def forward_batch(net: DenseNetwork, inputs: np.ndarray):
-    """Forward pass over a batch. Returns (outputs, cache) for backward."""
+def forward_batch(net: DenseNetwork, inputs: np.ndarray, space: StepWorkspace | None = None):
+    """Forward pass over a batch. Returns (outputs, cache) for backward.
+
+    The cache is (activations, pre_acts): the input batch and then each
+    layer's activation, and each layer's pre-activation. Given a workspace
+    sized to the batch, the layers write into its arrays, so the outputs
+    and the cache stay valid only until the workspace's next step; the
+    values are the same bit for bit.
+    """
     x = _input_batch(net, inputs)
     activations = [x]
     pre_acts = []
-    for z, a in _layers(net, x):
+    for z, a in _layers(net, x, space):
         pre_acts.append(z)
         activations.append(a)
     return activations[-1], (activations, pre_acts)
@@ -246,13 +302,17 @@ def infer(net: DenseNetwork, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNetwork, cache, grad_logits: np.ndarray) -> np.ndarray:
+def backward(net: DenseNetwork, cache, grad_logits: np.ndarray,
+             space: StepWorkspace | None = None) -> np.ndarray:
     """Reverse-mode gradients given d(loss)/d(z) per batch row.
 
     z is the output layer's pre-activation, so each loss owns its head's
     derivative. Returns one vector laid out like net.params, in its dtype.
     Gradients are sums over the batch; callers scale grad_logits for mean
-    losses. ReLU subgradient at exactly 0 is taken as 0.
+    losses. ReLU subgradient at exactly 0 is taken as 0. Given the workspace
+    that forward_batch filled for cache, the gradient is computed into its
+    arrays and the returned vector is its gradient vector, overwritten by
+    the next step.
     """
     activations, pre_acts = cache
     dz = np.asarray(grad_logits, dtype=net.params.dtype)
@@ -260,14 +320,19 @@ def backward(net: DenseNetwork, cache, grad_logits: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"grad_logits shape {dz.shape} != output shape {pre_acts[-1].shape}")
 
-    grads = np.empty_like(net.params)
-    grads_w, grads_b = _layer_views(grads, net.layer_dims)
+    if space is None:
+        grads = np.empty_like(net.params)
+        grads_w, grads_b = _layer_views(grads, net.layer_dims)
+        masks = deltas = [None] * len(pre_acts)
+    else:
+        grads, grads_w, grads_b = space.grads, space.grads_w, space.grads_b
+        masks, deltas = space.masks, space.deltas
     for i in range(len(net.weights) - 1, -1, -1):
         np.matmul(activations[i].T, dz, out=grads_w[i])
-        np.sum(dz, axis=0, out=grads_b[i])
+        np.add.reduce(dz, axis=0, out=grads_b[i])
         if i > 0:
-            da = dz @ net.weights[i].T
-            dz = da * (pre_acts[i - 1] > 0)
+            dz = np.matmul(dz, net.weights[i].T, out=deltas[i - 1])
+            np.multiply(dz, np.greater(pre_acts[i - 1], 0, out=masks[i - 1]), out=dz)
     return grads
 
 
@@ -328,23 +393,35 @@ def minibatch_adam(net: DenseNetwork, inputs, hyper: TrainHyper, logit_grad,
     Each epoch visits the rows in a fresh permutation drawn from
     (hyper.seed, 1), hyper.batch_size rows at a time. logit_grad(idx, out, z)
     returns d(loss)/d(z) for the rows idx given their float32 outputs out and
-    the output layer's pre-activations z. epoch_end() returns the epoch's
-    metric (a number or a tuple of numbers), which must be finite, as must
-    the parameters; the error names `what`. Returns the per-epoch metrics.
+    the output layer's pre-activations z; out and z are overwritten by the
+    next step. epoch_end() returns the epoch's metric (a number or a tuple
+    of numbers), which must be finite, as must the parameters; the error
+    names `what`. Returns the per-epoch metrics.
+
+    Each step gathers its rows into one StepWorkspace, built once per fit
+    for batch_size rows (a shorter last batch uses its leading rows), and
+    calls forward_batch, backward and adam_step on it once each, so a step
+    allocates nothing beyond what logit_grad does.
     """
-    x = training_inputs(inputs)
-    n = x.shape[0]
     work = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(np.float32),
                         output_head=net.output_head)
+    x = _input_batch(work, training_inputs(inputs))
+    n, batch = x.shape[0], hyper.batch_size
+    full = StepWorkspace(work, min(batch, n))
+    last = full.leading(n - (n - 1) // batch * batch)  # the last batch's rows
     rng = np.random.default_rng((hyper.seed, 1))
     state = AdamState.for_network(work, learning_rate=hyper.learning_rate)
     history = []
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            out, cache = forward_batch(work, x[idx])
-            grads = backward(work, cache, logit_grad(idx, out, cache[1][-1]))
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            space = full if idx.size == batch else last
+            # the indices are a permutation's, so "clip" never clips; it
+            # lets take write straight into out, where "raise" buffers
+            np.take(x, idx, axis=0, out=space.inputs, mode="clip")
+            out, cache = forward_batch(work, space.inputs, space)
+            grads = backward(work, cache, logit_grad(idx, out, cache[1][-1]), space)
             adam_step(work, grads, state)
         net.params[...] = work.params
         history.append(epoch_end())

@@ -1,4 +1,7 @@
+import csv
+import io
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -95,6 +98,101 @@ def sample_checkable_network(rng, head):
         if head is OutputHead.SIGMOID_SCALAR and np.abs(pre_acts[-1]).max() > 29:
             continue
         return net, x
+
+
+# ---------------------------------------------------------------------------
+# Training oracle: minibatch_adam's fit with every array allocated per step
+# ---------------------------------------------------------------------------
+
+def reference_minibatch_adam(net: DenseNetwork, inputs, hyper: tinynn.TrainHyper,
+                             logit_grad, epoch_end, what: str = "") -> list:
+    """minibatch_adam written plainly: a @ w + b, ReLU, the head, backward, adam_step.
+
+    The same float32 copy, permutation stream (hyper.seed, 1), batches,
+    per-epoch write-back and epoch_end calls; every array is a fresh one.
+    `what`, minibatch_adam's name for the metric in its errors, is unused.
+    """
+    x = np.asarray(inputs, dtype=np.float32)
+    work = DenseNetwork(layer_dims=net.layer_dims, params=net.params.astype(np.float32),
+                        output_head=net.output_head)
+    state = tinynn.AdamState.for_network(work, learning_rate=hyper.learning_rate)
+    rng = np.random.default_rng((hyper.seed, 1))
+    history = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
+            activations, pre_acts = [x[idx]], []
+            for i, (w, b) in enumerate(zip(work.weights, work.biases)):
+                z = activations[-1] @ w + b
+                if i < len(work.weights) - 1:
+                    a = np.maximum(0.0, z)
+                elif work.output_head is OutputHead.SOFTMAX2:
+                    e = np.exp(z - z.max(axis=1, keepdims=True))
+                    a = e / e.sum(axis=1, keepdims=True)
+                else:
+                    a = 1.0 / (1.0 + np.exp(-np.clip(z, -SIGMOID_Z_CLIP, SIGMOID_Z_CLIP)))
+                pre_acts.append(z)
+                activations.append(a)
+            dz = logit_grad(idx, activations[-1], pre_acts[-1])
+            layer_grads = []
+            for i in range(len(work.weights) - 1, -1, -1):
+                layer_grads[:0] = [activations[i].T @ dz, dz.sum(axis=0)]
+                if i > 0:
+                    dz = (dz @ work.weights[i].T) * (pre_acts[i - 1] > 0)
+            grads = np.concatenate([g.ravel() for g in layer_grads])
+            tinynn.adam_step(work, grads, state)
+        net.params[...] = work.params
+        history.append(epoch_end())
+    return history
+
+
+def reference_cross_entropy_fit(net: DenseNetwork, inputs, labels, hyper: tinynn.TrainHyper):
+    """train_supervised's per-epoch mean loss and fused gradient (p - onehot) / n, on the oracle."""
+    y = np.asarray(labels)
+    loss_sum = [0.0]
+
+    def logit_grad(idx, p, z):
+        n = idx.size
+        loss_sum[0] += float(-np.log(np.maximum(p[np.arange(n), y[idx]], PROB_FLOOR)).sum())
+        return (p - np.eye(2, dtype=p.dtype)[y[idx]]) / n
+
+    def mean_loss():
+        mean, loss_sum[0] = loss_sum[0] / len(y), 0.0
+        return mean
+
+    return reference_minibatch_adam(net, inputs, hyper, logit_grad, mean_loss)
+
+
+# ---------------------------------------------------------------------------
+# CSV oracle: the csv.writer export that the format template replaces
+# ---------------------------------------------------------------------------
+
+def _csv_writer_rows(signals):
+    view, member = signals.view.value, int(signals.member)
+    for i, (tx_id, label, phases, powers) in enumerate(zip(
+            signals.tx_id.tolist(), signals.class_label.tolist(),
+            signals.phases.tolist(), signals.powers.tolist())):
+        yield [i, tx_id, label, member, view, *phases, *powers]
+
+
+def csv_writer_samples(samples) -> bytes:
+    """The bytes csv.writer writes for write_samples_csv's table."""
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(scenarios.CSV_HEADER)
+        writer.writerows(_csv_writer_rows(samples))
+        return fh.getvalue().encode("utf-8")
+
+
+def csv_writer_pairs(pairs) -> bytes:
+    """The bytes csv.writer writes for write_pairs_csv's table."""
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(scenarios.CSV_HEADER)
+        writer.writerows(chain.from_iterable(zip(_csv_writer_rows(pairs.provider),
+                                                 _csv_writer_rows(pairs.adversary))))
+        return fh.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

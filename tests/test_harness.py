@@ -1,10 +1,12 @@
 import json
+import math
+from collections import Counter
 
 import pytest
 
 from airmia import classify, cli, harness, mia, scenarios, tinynn
 from airmia.errors import ArtifactError, InvalidConfigError, PipelineStageError
-from airmia.scenarios import Scenario, config_to_document
+from airmia.scenarios import Scenario, ScenarioConfig, config_to_document
 from airmia.tinynn import OutputHead, init_network
 from conftest import small_config, small_hyper
 
@@ -106,6 +108,37 @@ class TestRunScenario:
         monkeypatch.setattr(classify, "train_target", boom)
         with pytest.raises(PipelineStageError, match="train-target"):
             harness.run_scenario(small_config(seed=23))
+
+
+def training_steps(config, hyper) -> int:
+    """Mini-batch steps of a cell: the target's, the surrogate's and the inference model's."""
+    c = config.counts
+    mia_rows = round(c.member_eval / 2) + round(c.nonmember_eval / 2)
+    return sum(h.epochs * math.ceil(rows / h.batch_size) for h, rows in (
+        (hyper.target, c.provider_train), (hyper.surrogate, c.surrogate_train),
+        (hyper.mia, mia_rows)))
+
+
+class TestTrainingSteps:
+    def test_one_forward_backward_and_adam_step_call_per_step(self, monkeypatch):
+        calls = Counter()
+        for name in ("forward_batch", "backward", "adam_step"):
+            def counted(*args, real=getattr(tinynn, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(tinynn, name, counted)
+        config = small_config(seed=23)
+        hyper = small_hyper(config, classifier_epochs=3, mia_epochs=5)
+        harness.run_scenario(config, hyper=hyper)
+        steps = training_steps(config, hyper)
+        assert calls == {"forward_batch": steps, "backward": steps, "adam_step": steps}
+
+    def test_a_default_cell_takes_17300_steps(self):
+        config = ScenarioConfig(scenario=Scenario.FULL_STRONG, seed=1)
+        # 100 * 125 target, 100 * 16 surrogate and 200 * 16 inference-model steps
+        assert training_steps(config, harness.PipelineHyper.for_config(config)) == \
+            12_500 + 1_600 + 3_200
 
 
 class TestPersistenceFidelity:

@@ -209,9 +209,10 @@ class TestTrainMia:
         steps = []
         real_backward = tinynn.backward
 
-        def recording_backward(net, cache, grad_logits):
-            steps.append((cache[0][0], cache[0][-1][:, 0], grad_logits))
-            return real_backward(net, cache, grad_logits)
+        def recording_backward(net, cache, grad_logits, *space):
+            # copies: the step's workspace is overwritten by the next step
+            steps.append((cache[0][0].copy(), cache[0][-1][:, 0].copy(), grad_logits))
+            return real_backward(net, cache, grad_logits, *space)
 
         monkeypatch.setattr(tinynn, "backward", recording_backward)
         mia.train_mia(surrogate, ds, TrainHyper(epochs=2, batch_size=16, seed=2))

@@ -49,7 +49,13 @@ from airmia.scenarios import (
     write_pairs_csv,
     write_samples_csv,
 )
-from conftest import small_config, stream_noise_oracle, traced_peak_mb
+from conftest import (
+    csv_writer_pairs,
+    csv_writer_samples,
+    small_config,
+    stream_noise_oracle,
+    traced_peak_mb,
+)
 
 
 def features_set(samples):
@@ -665,6 +671,48 @@ class TestCsvProperties:
             assert_same_table(pairs.adversary, back.adversary)
             write_pairs_csv(back, path)
             assert path.read_bytes() == first
+
+
+class TestCsvTemplate:
+    """The export's format template writes the bytes csv.writer writes."""
+
+    EDGES = [-0.0, 1e-05, 1.5e+16, 5e-324]
+
+    def table(self, n, view, rows, seed=0):
+        """Random rows with the edge values as the first phases and last powers of rows."""
+        rng = np.random.default_rng(seed)
+        phases, powers = rng.uniform(0, 6, size=(2, n, SYMBOLS_PER_SAMPLE))
+        for row in rows:
+            phases[row, :4] = powers[row, -4:] = self.EDGES
+        return Signals(phases=phases, powers=powers, tx_id=rng.integers(0, 2 ** 40, size=n),
+                       class_label=rng.integers(0, 2, size=n), view=view, member=n % 2)
+
+    def test_samples_with_edge_values(self, tmp_path):
+        table = self.table(5, Receiver.ADVERSARY, rows=(0, 4))
+        path = tmp_path / "samples.csv"
+        write_samples_csv(table, path)
+        assert path.read_bytes() == csv_writer_samples(table)
+        assert b",-0.0,1e-05,1.5e+16,5e-324," in path.read_bytes()
+
+    def test_pairs_across_a_block_boundary(self, tmp_path):
+        n, rows = BLOCK_ROWS + 3, (BLOCK_ROWS - 1, BLOCK_ROWS)
+        provider = self.table(n, Receiver.PROVIDER, rows)
+        adversary = dataclasses.replace(self.table(n, Receiver.ADVERSARY, rows, seed=1),
+                                        tx_id=provider.tx_id, class_label=provider.class_label)
+        pairs = Pairs(provider, adversary)
+        path = tmp_path / "pairs.csv"
+        write_pairs_csv(pairs, path)
+        assert path.read_bytes() == csv_writer_pairs(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signal_tables(), pair_tables())
+    def test_random_tables(self, table, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_samples_csv(table, path)
+            assert path.read_bytes() == csv_writer_samples(table)
+            write_pairs_csv(pairs, path)
+            assert path.read_bytes() == csv_writer_pairs(pairs)
 
 
 @st.composite

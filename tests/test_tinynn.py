@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from airmia.classify import CLASSIFIER_DIMS
 from airmia.errors import ArtifactError, InvalidInputError
-from airmia.mia import MIA_DIMS
+from airmia.mia import MIA_DIMS, gain_logit_grad
 from airmia.scenarios import ScenarioCounts
 from airmia import tinynn
 from airmia.tinynn import (
@@ -38,6 +39,8 @@ from conftest import (
     cross_entropy_loss,
     grad_check,
     numeric_gradient,
+    reference_cross_entropy_fit,
+    reference_minibatch_adam,
     sample_checkable_network,
     traced_peak_mb,
 )
@@ -550,8 +553,8 @@ class TestFloat32Training:
         seen = set()
         real_backward, real_adam = tinynn.backward, tinynn.adam_step
 
-        def traced_backward(net, cache, grad_logits):
-            grads = real_backward(net, cache, grad_logits)
+        def traced_backward(net, cache, grad_logits, *space):
+            grads = real_backward(net, cache, grad_logits, *space)
             seen.update(a.dtype for a in (*cache[0][1:], *cache[1], grad_logits, grads))
             return grads
 
@@ -651,6 +654,64 @@ class TestFloat32Training:
             np.testing.assert_allclose(cross_entropy_logit_grad(out, labels)[keep],
                                        chain[keep], rtol=1e-12,
                                        atol=np.finfo(float).eps / n)
+
+
+class TestStepWorkspace:
+    """minibatch_adam steps through one preallocated workspace per fit; every
+    step equals the allocating reference loop bit for bit."""
+
+    # 1000 rows at batch 64 end on a 40-row batch, as the surrogate's and the
+    # inference model's do; 128 rows have no short batch; 40 rows are one
+    # batch shorter than batch_size
+    @pytest.mark.parametrize("n", [1000, 128, 40])
+    def test_train_supervised_equals_the_allocating_loop(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(n, CLASSIFIER_DIMS[0])), rng.integers(0, 2, size=n)
+        hyper = TrainHyper(epochs=3, seed=n)
+        net, history = train_supervised(
+            init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 1), x, y, hyper)
+        reference = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 1)
+        reference_history = reference_cross_entropy_fit(reference, x, y, hyper)
+        assert net.params.tobytes() == reference.params.tobytes()
+        assert history == reference_history
+
+    @pytest.mark.parametrize("n", [1000, 40])
+    def test_sigmoid_head_equals_the_allocating_loop(self, n):
+        rng = np.random.default_rng(n)
+        # wide inputs push some rows past the sigmoid's clip
+        x = rng.normal(scale=4.0, size=(n, MIA_DIMS[0]))
+        is_member, weights = rng.random(n) < 0.5, rng.uniform(0.5, 2.0, size=n)
+        hyper = TrainHyper(epochs=3, seed=n)
+        runs = []
+        for fit in (minibatch_adam, reference_minibatch_adam):
+            net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, 2)
+            history = fit(net, x, hyper,
+                          lambda idx, out, z: gain_logit_grad(out, z, is_member[idx], weights[idx]),
+                          lambda: float(infer(net, x).sum()), "gain")
+            runs.append((net.params.tobytes(), history))
+        assert runs[0] == runs[1]
+
+    def test_steps_after_the_first_epoch_allocate_nothing(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(1000, CLASSIFIER_DIMS[0])), rng.integers(0, 2, size=1000)
+        net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 7)
+        start = []
+
+        def epoch_end():
+            if not start:  # trace from the end of the first epoch on
+                tracemalloc.start()
+                start.append(tracemalloc.get_traced_memory()[0])
+            return 0.0
+
+        try:
+            minibatch_adam(net, x, TrainHyper(epochs=6, seed=7),
+                           lambda idx, out, z: cross_entropy_logit_grad(out, y[idx]),
+                           epoch_end, "loss")
+            rise = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        # 80 steps; one allocated gradient vector alone is 4 * params.size bytes
+        assert rise < net.params.nbytes / 4, f"80 steps rose {rise} bytes"
 
 
 def moving_average(values, window=5):
