@@ -84,8 +84,8 @@ def _print_report_summary(report: harness.ScenarioReport) -> None:
           f"test {report.target_report.test_accuracy:.4f}")
     print(f"  surrogate accuracy: train {report.surrogate_report.train_accuracy:.4f}  "
           f"test {report.surrogate_report.test_accuracy:.4f}")
-    print(f"  paired agreement:   {report.paired_agreement:.4f}")
-    print(format_confusion(report.confusion))
+    print(f"  paired agreement:   {report.evaluation.paired_agreement:.4f}")
+    print(format_confusion(report.evaluation.confusion))
 
 
 def _cmd_gen(args) -> int:
@@ -113,18 +113,18 @@ def _load_cell(args):
 
 def _cmd_train(args) -> int:
     cell, bundle = _load_cell(args)
-    target, target_report, surrogate, surrogate_report = harness.train_classifiers(
+    classifiers = harness.train_classifiers(
         bundle, harness.PipelineHyper.for_config(bundle.config))
-    harness.save_classifiers(cell, target, target_report, surrogate, surrogate_report)
-    print(f"target test accuracy    {target_report.test_accuracy:.4f}")
-    print(f"surrogate test accuracy {surrogate_report.test_accuracy:.4f}")
+    harness.save_classifiers(cell, classifiers)
+    print(f"target test accuracy    {classifiers.target_report.test_accuracy:.4f}")
+    print(f"surrogate test accuracy {classifiers.surrogate_report.test_accuracy:.4f}")
     return 0
 
 
 def _cmd_attack(args) -> int:
     cell, bundle = _load_cell(args)
     model, report = harness.attack(bundle, harness.PipelineHyper.for_config(bundle.config),
-                                   *harness.load_classifiers(cell))
+                                   harness.load_classifiers(cell))
     harness.save_attack(cell, model, report)
     _print_report_summary(report)
     return 0

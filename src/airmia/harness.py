@@ -4,10 +4,11 @@ Every run is a pure function of (ScenarioConfig, training hyperparameters):
 all stage seeds derive from the scenario seed, report.json contains no
 volatile fields, and artifacts are written atomically (write-then-rename).
 run_scenario and the staged CLI commands share the stages
-(train_classifiers, attack) and the writers (save_datasets,
-save_classifiers, save_attack); reevaluate_artifacts shares attack's
-held-out evaluation and the classifiers' scorer. load_datasets is the one
-reader of a cell's config.json: the staged commands, load_artifacts and
+(train_classifiers, attack), which pass the two classifiers as one
+Classifiers value, and the writers (save_datasets, save_classifiers,
+save_attack). evaluate computes the attack's held-out Evaluation for both
+attack and reevaluate_artifacts. load_datasets is the one reader of a
+cell's config.json: the staged commands, load_artifacts and
 reevaluate_artifacts all take the config from it.
 
 Artifact layout per run: <out>/<scenario>/<seed>/
@@ -77,20 +78,37 @@ class PipelineHyper:
         }
 
 
+@dataclass(frozen=True)
+class Classifiers:
+    """The provider's target and the adversary's surrogate, with their training reports."""
+
+    target: tinynn.DenseNetwork
+    target_report: classify.ClassifierReport
+    surrogate: tinynn.DenseNetwork
+    surrogate_report: classify.ClassifierReport
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The attack's held-out numbers; evaluate is the one function that computes them."""
+
+    confusion: mia.ConfusionMatrix
+    paired_agreement: float
+    unauthorized_grant_rate: float
+
+
 @dataclass
 class ScenarioReport:
     config: ScenarioConfig
     seeds: dict
     target_report: classify.ClassifierReport
     surrogate_report: classify.ClassifierReport
-    confusion: mia.ConfusionMatrix
+    evaluation: Evaluation
     gain_history: dict
-    paired_agreement: float
-    unauthorized_grant_rate: float
 
     @property
     def mia_accuracy(self) -> float:
-        return self.confusion.accuracy
+        return self.evaluation.confusion.accuracy
 
     def to_document(self) -> dict:
         return {
@@ -102,12 +120,12 @@ class ScenarioReport:
             "target": self.target_report.to_document(),
             "surrogate": self.surrogate_report.to_document(),
             "mia": {
-                "confusion": self.confusion.to_document(),
-                "accuracy": self.confusion.accuracy,
+                "confusion": self.evaluation.confusion.to_document(),
+                "accuracy": self.mia_accuracy,
                 "gain_history": self.gain_history,
             },
-            "paired_agreement": self.paired_agreement,
-            "unauthorized_grant_rate": self.unauthorized_grant_rate,
+            "paired_agreement": self.evaluation.paired_agreement,
+            "unauthorized_grant_rate": self.evaluation.unauthorized_grant_rate,
         }
 
 
@@ -118,11 +136,12 @@ def report_from_document(doc: dict, source: str = "<document>") -> ScenarioRepor
             seeds=dict(doc["seeds"]),
             target_report=classify.report_from_document(doc["target"], source),
             surrogate_report=classify.report_from_document(doc["surrogate"], source),
-            confusion=mia.confusion_from_document(doc["mia"]["confusion"], source),
+            evaluation=Evaluation(
+                confusion=mia.confusion_from_document(doc["mia"]["confusion"], source),
+                paired_agreement=float(doc["paired_agreement"]),
+                unauthorized_grant_rate=float(doc["unauthorized_grant_rate"])),
             gain_history={k: [float(v) for v in vs]
                           for k, vs in doc["mia"]["gain_history"].items()},
-            paired_agreement=float(doc["paired_agreement"]),
-            unauthorized_grant_rate=float(doc["unauthorized_grant_rate"]),
         )
 
     return parse_document(doc, REPORT_FORMAT_VERSION, source, "scenario report", build)
@@ -166,13 +185,13 @@ def save_datasets(bundle: DataBundle, cell) -> None:
     write_json(Path(cell) / "config.json", scenarios.config_to_document(bundle.config))
 
 
-def save_classifiers(cell, target, target_report, surrogate, surrogate_report) -> None:
+def save_classifiers(cell, classifiers: Classifiers) -> None:
     models = Path(cell) / "models"
     models.mkdir(parents=True, exist_ok=True)
-    tinynn.save_model(target, models / "target.json")
-    tinynn.save_model(surrogate, models / "surrogate.json")
-    classify.save_report(target_report, models / "target_report.json")
-    classify.save_report(surrogate_report, models / "surrogate_report.json")
+    tinynn.save_model(classifiers.target, models / "target.json")
+    tinynn.save_model(classifiers.surrogate, models / "surrogate.json")
+    classify.save_report(classifiers.target_report, models / "target_report.json")
+    classify.save_report(classifiers.surrogate_report, models / "surrogate_report.json")
 
 
 def save_attack(cell, model: mia.MiaModel, report: ScenarioReport) -> None:
@@ -180,17 +199,17 @@ def save_attack(cell, model: mia.MiaModel, report: ScenarioReport) -> None:
     cell = Path(cell)
     mia.save_mia_model(model, cell / "models" / "mia.json")
     write_json(cell / "report.json", report.to_document())
-    write_json(cell / "confusion.json", report.confusion.to_document(
+    write_json(cell / "confusion.json", report.evaluation.confusion.to_document(
         scenario=report.config.scenario.value, seed=report.config.seed))
-    atomic_write_text(cell / "confusion.csv", report.confusion.to_csv_text())
+    atomic_write_text(cell / "confusion.csv", report.evaluation.confusion.to_csv_text())
 
 
-def save_artifacts(out_dir, bundle: DataBundle, target, surrogate, mia_model,
+def save_artifacts(out_dir, bundle: DataBundle, classifiers: Classifiers, mia_model,
                    report: ScenarioReport) -> Path:
     """Persist one run's datasets, models, and reports under the cell directory."""
     cell = cell_dir(out_dir, report.config)
     save_datasets(bundle, cell)
-    save_classifiers(cell, target, report.target_report, surrogate, report.surrogate_report)
+    save_classifiers(cell, classifiers)
     save_attack(cell, mia_model, report)
     return cell
 
@@ -213,13 +232,13 @@ def load_datasets(cell) -> DataBundle:
     return DataBundle(config=config, **tables)
 
 
-def load_classifiers(cell):
-    """(target, target_report, surrogate, surrogate_report) from <cell>/models."""
+def load_classifiers(cell) -> Classifiers:
+    """The Classifiers saved under <cell>/models."""
     models = Path(cell) / "models"
-    return (tinynn.load_model(models / "target.json"),
-            classify.load_report(models / "target_report.json"),
-            tinynn.load_model(models / "surrogate.json"),
-            classify.load_report(models / "surrogate_report.json"))
+    return Classifiers(target=tinynn.load_model(models / "target.json"),
+                       target_report=classify.load_report(models / "target_report.json"),
+                       surrogate=tinynn.load_model(models / "surrogate.json"),
+                       surrogate_report=classify.load_report(models / "surrogate_report.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,54 +255,43 @@ def run_stage(name: str, fn):
         raise PipelineStageError(name, exc) from exc
 
 
-def train_classifiers(bundle: DataBundle, hyper: PipelineHyper, stage=run_stage):
-    """Fit the provider's target, then the surrogate on its observed grants.
-
-    Returns (target, target_report, surrogate, surrogate_report). `stage`
-    runs each step under its stage name.
-    """
+def train_classifiers(bundle: DataBundle, hyper: PipelineHyper,
+                      stage=run_stage) -> Classifiers:
+    """Fit the provider's target, then the surrogate on its grants, each step under `stage`."""
     target, target_report = stage("train-target", lambda: classify.train_target(
         bundle.provider_train, bundle.test_pairs.provider, hyper.target))
     surrogate, surrogate_report = stage("train-surrogate", lambda: classify.train_surrogate(
         bundle.surrogate_pairs, target, bundle.test_pairs.adversary, hyper.surrogate))
-    return target, target_report, surrogate, surrogate_report
+    return Classifiers(target, target_report, surrogate, surrogate_report)
 
 
-def _held_out_numbers(bundle: DataBundle, dataset: mia.MembershipDataset,
-                      target, surrogate, model: mia.MiaModel):
-    """(confusion, paired agreement, unauthorized grant rate) on held-out data."""
-    confusion = mia.evaluate_mia(model, surrogate,
-                                 dataset.members.take(dataset.member_test_idx),
-                                 dataset.nonmembers.take(dataset.nonmember_test_idx))
-    agreement = classify.paired_agreement(target, surrogate, bundle.test_pairs)
-    unauthorized_rate = classify.grant_rate(target, bundle.unauthorized_provider_views)
-    return confusion, agreement, unauthorized_rate
+def evaluate(bundle: DataBundle, dataset: mia.MembershipDataset, classifiers: Classifiers,
+             model: mia.MiaModel) -> Evaluation:
+    """The attack's held-out numbers, for attack and reevaluate_artifacts alike."""
+    target, surrogate = classifiers.target, classifiers.surrogate
+    return Evaluation(
+        mia.evaluate_mia(model, surrogate, dataset.members.take(dataset.member_test_idx),
+                         dataset.nonmembers.take(dataset.nonmember_test_idx)),
+        classify.paired_agreement(target, surrogate, bundle.test_pairs),
+        classify.grant_rate(target, bundle.unauthorized_provider_views))
 
 
-def attack(bundle: DataBundle, hyper: PipelineHyper, target, target_report,
-           surrogate, surrogate_report, stage=run_stage):
+def attack(bundle: DataBundle, hyper: PipelineHyper, classifiers: Classifiers,
+           stage=run_stage):
     """Fit the inference model and score the attack: (model, ScenarioReport)."""
 
     def fit():
         dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
                                        hyper.split_seed)
-        model, gain_history = mia.train_mia(surrogate, dataset, hyper.mia)
+        model, gain_history = mia.train_mia(classifiers.surrogate, dataset, hyper.mia)
         return dataset, model, gain_history
 
     dataset, model, gain_history = stage("train-mia", fit)
-    confusion, agreement, unauthorized_rate = stage("evaluate", lambda: _held_out_numbers(
-        bundle, dataset, target, surrogate, model))
-    report = ScenarioReport(
-        config=bundle.config,
-        seeds=hyper.seed_record(bundle.config),
-        target_report=target_report,
-        surrogate_report=surrogate_report,
-        confusion=confusion,
-        gain_history=gain_history,
-        paired_agreement=agreement,
-        unauthorized_grant_rate=unauthorized_rate,
-    )
-    return model, report
+    evaluation = stage("evaluate", lambda: evaluate(bundle, dataset, classifiers, model))
+    return model, ScenarioReport(
+        config=bundle.config, seeds=hyper.seed_record(bundle.config),
+        target_report=classifiers.target_report, surrogate_report=classifiers.surrogate_report,
+        evaluation=evaluation, gain_history=gain_history)
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None,
@@ -302,19 +310,18 @@ def run_scenario(config: ScenarioConfig, out_dir=None,
         return result
 
     bundle = timed("generate", lambda: scenarios.generate_scenario_data(config))
-    target, target_report, surrogate, surrogate_report = train_classifiers(bundle, hyper, timed)
-    model, report = attack(bundle, hyper, target, target_report, surrogate, surrogate_report,
-                           timed)
+    classifiers = train_classifiers(bundle, hyper, timed)
+    model, report = attack(bundle, hyper, classifiers, timed)
     if out_dir is not None:
-        cell = timed("persist", lambda: save_artifacts(out_dir, bundle, target, surrogate,
-                                                       model, report))
+        cell = timed("persist", lambda: save_artifacts(out_dir, bundle, classifiers, model,
+                                                       report))
         write_json(cell / "timings.json", {
             "wall_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
             "stage_peak_rss_mb": stage_peak_rss_mb,
-            "target_train_seconds": target_report.train_seconds,
-            "surrogate_train_seconds": surrogate_report.train_seconds,
-            "blas_threads": tinynn.BLAS_THREADS,
+            "target_train_seconds": classifiers.target_report.train_seconds,
+            "surrogate_train_seconds": classifiers.surrogate_report.train_seconds,
+            "blas": tinynn.BLAS,
         })
 
     return report
@@ -380,49 +387,41 @@ def ordering_summary(reports) -> dict:
 def load_artifacts(directory) -> dict:
     """Load every persisted artifact of one scenario run."""
     directory = Path(directory)
-    bundle = load_datasets(directory)
-    target, target_report, surrogate, surrogate_report = load_classifiers(directory)
     return {
-        "datasets": bundle,
-        "target": target,
-        "surrogate": surrogate,
+        "datasets": load_datasets(directory),
+        "classifiers": load_classifiers(directory),
         "mia_model": mia.load_mia_model(directory / "models" / "mia.json"),
-        "target_report": target_report,
-        "surrogate_report": surrogate_report,
         "report": load_report_file(directory / "report.json"),
     }
 
 
+def _numbers(accuracies, evaluation: Evaluation) -> dict:
+    """The eight evaluation numbers: `accuracies` (target train, test; surrogate train, test)."""
+    return {**dict(zip(("target_train_accuracy", "target_test_accuracy",
+                        "surrogate_train_accuracy", "surrogate_test_accuracy"), accuracies)),
+            "mia_accuracy": evaluation.confusion.accuracy,
+            "mia_counts": evaluation.confusion.counts.tolist(),
+            "paired_agreement": evaluation.paired_agreement,
+            "unauthorized_grant_rate": evaluation.unauthorized_grant_rate}
+
+
 def evaluation_numbers(report: ScenarioReport) -> dict:
     """The evaluation numbers a persisted run must reproduce after reload."""
-    return {
-        "target_train_accuracy": report.target_report.train_accuracy,
-        "target_test_accuracy": report.target_report.test_accuracy,
-        "surrogate_train_accuracy": report.surrogate_report.train_accuracy,
-        "surrogate_test_accuracy": report.surrogate_report.test_accuracy,
-        "mia_accuracy": report.confusion.accuracy,
-        "mia_counts": report.confusion.counts.tolist(),
-        "paired_agreement": report.paired_agreement,
-        "unauthorized_grant_rate": report.unauthorized_grant_rate,
-    }
+    target, surrogate = report.target_report, report.surrogate_report
+    return _numbers((target.train_accuracy, target.test_accuracy,
+                     surrogate.train_accuracy, surrogate.test_accuracy), report.evaluation)
 
 
 def reevaluate_artifacts(directory) -> dict:
     """Recompute every evaluation number from persisted datasets and models."""
     art = load_artifacts(directory)
-    bundle, target, surrogate = art["datasets"], art["target"], art["surrogate"]
+    bundle, classifiers = art["datasets"], art["classifiers"]
     dataset = mia.split_membership(bundle.member_eval, bundle.nonmember_eval,
                                    PipelineHyper.for_config(bundle.config).split_seed)
-    confusion, agreement, unauthorized_rate = _held_out_numbers(
-        bundle, dataset, target, surrogate, art["mia_model"])
-    accuracy, report = classify.classification_accuracy, art["report"]
+    evaluation = evaluate(bundle, dataset, classifiers, art["mia_model"])
+    accuracy, target = classify.classification_accuracy, classifiers.target
     surrogate_train = classify.surrogate_training_set(bundle.surrogate_pairs, target)
-    return evaluation_numbers(replace(
-        report, confusion=confusion, paired_agreement=agreement,
-        unauthorized_grant_rate=unauthorized_rate,
-        target_report=replace(report.target_report,
-                              train_accuracy=accuracy(target, bundle.provider_train),
-                              test_accuracy=accuracy(target, bundle.test_pairs.provider)),
-        surrogate_report=replace(report.surrogate_report,
-                                 train_accuracy=accuracy(surrogate, surrogate_train),
-                                 test_accuracy=accuracy(surrogate, bundle.test_pairs.adversary))))
+    return _numbers((accuracy(target, bundle.provider_train),
+                     accuracy(target, bundle.test_pairs.provider),
+                     accuracy(classifiers.surrogate, surrogate_train),
+                     accuracy(classifiers.surrogate, bundle.test_pairs.adversary)), evaluation)

@@ -14,8 +14,9 @@ StepWorkspace per fit.
 
 Importing this module pins the loaded OpenBLAS to one thread for the whole
 process, whatever OPENBLAS_NUM_THREADS says: summation order, and so every
-trained weight and report byte, depends on the BLAS thread count.
-BLAS_THREADS records the outcome.
+trained weight and report byte, depends on the BLAS thread count. They
+depend on the kernel OpenBLAS picks for the CPU at runtime as well. BLAS
+records the thread count, the setter used and that kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ FLOAT32_TINY = np.finfo(np.float32).tiny
 
 
 # Thread-count setters exported by the OpenBLAS builds numpy ships or links,
-# in order of preference; each has a getter of the same name with "get".
+# in order of preference; each has a getter of the same name with "get", and
+# a kernel-name getter with "get_corename" for "set_num_threads".
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
@@ -75,10 +77,11 @@ def _loaded_blas_libraries() -> list[str]:
 
 
 def _pin_blas_threads() -> dict:
-    """Set the loaded OpenBLAS to one thread; the count read back and the setter used.
+    """Set the loaded OpenBLAS to one thread; the count read back, the setter used
+    and the runtime kernel (None if the library has no corename getter).
 
-    Without a setter (numpy built on another BLAS) nothing is set and both
-    entries are None.
+    Without a setter (numpy built on another BLAS) nothing is set and every
+    entry is None.
     """
     for path in _loaded_blas_libraries():
         try:
@@ -96,11 +99,17 @@ def _pin_blas_threads() -> dict:
             if getter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 count = int(getter())
-            return {"count": count, "setter": f"{symbol} in {os.path.basename(path)}"}
-    return {"count": None, "setter": None}
+            corename = getattr(lib, symbol.replace("_set_num_threads", "_get_corename"), None)
+            kernel = None
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                kernel = corename().decode()
+            return {"count": count, "setter": f"{symbol} in {os.path.basename(path)}",
+                    "kernel": kernel}
+    return {"count": None, "setter": None, "kernel": None}
 
 
-BLAS_THREADS = _pin_blas_threads()
+BLAS = _pin_blas_threads()
 
 
 class OutputHead(str, enum.Enum):

@@ -50,8 +50,8 @@ def test_criterion_01_classifier_fidelity(acceptance_matrix):
 def test_criterion_02_full_strong_band(acceptance_matrix):
     reports = _scenario_reports(acceptance_matrix, Scenario.FULL_STRONG)
     med = _median_accuracy(acceptance_matrix, Scenario.FULL_STRONG)
-    member_recall = statistics.median(r.confusion.rates[1, 1] for r in reports)
-    nonmember_recall = statistics.median(r.confusion.rates[0, 0] for r in reports)
+    member_recall = statistics.median(r.evaluation.confusion.rates[1, 1] for r in reports)
+    nonmember_recall = statistics.median(r.evaluation.confusion.rates[0, 0] for r in reports)
     ok = 0.80 <= med <= 0.95 and member_recall > 0.70 and nonmember_recall > 0.70
     _criterion(2, ok, f"full-strong median accuracy {med:.4f} in [0.80, 0.95], "
                       f"median recalls member {member_recall:.4f} / "
@@ -180,7 +180,7 @@ class TestDeskScaleInvariants:
             assert r.target_report.loss_history[-1] < r.target_report.loss_history[0]
 
     def test_paired_label_agreement_strong(self, acceptance_matrix):
-        agreements = [r.paired_agreement
+        agreements = [r.evaluation.paired_agreement
                       for r in _scenario_reports(acceptance_matrix, Scenario.FULL_STRONG)]
         assert min(agreements) >= 0.95
         assert statistics.median(agreements) >= 0.98
@@ -189,7 +189,8 @@ class TestDeskScaleInvariants:
         for r in acceptance_matrix["reports"]:
             assert r.target_report.dataset_sizes == {"train": 8000, "test": 10000}
             assert r.surrogate_report.dataset_sizes == {"train": 1000, "test": 10000}
-            assert r.confusion.counts.sum() == 1000  # 500 members + 500 nonmembers held out
+            # 500 members + 500 nonmembers held out
+            assert r.evaluation.confusion.counts.sum() == 1000
 
     def test_gain_history_rises_at_desk_scale(self, fullstrong_seed7_cell):
         # minibatch ascent oscillates; require a clear overall rise with
@@ -203,4 +204,4 @@ class TestDeskScaleInvariants:
 
     def test_unauthorized_grant_rate_recorded(self, acceptance_matrix):
         for r in acceptance_matrix["reports"]:
-            assert 0.0 <= r.unauthorized_grant_rate <= 1.0
+            assert 0.0 <= r.evaluation.unauthorized_grant_rate <= 1.0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airmia import classify, harness, scenarios
+from airmia import classify, harness, scenarios, tinynn
 from airmia.cli import OUT_DIR_ENV, dispatch, format_confusion
 from airmia.errors import InvalidInputError
 from airmia.mia import ConfusionMatrix
@@ -308,7 +309,18 @@ class TestBlasPin:
             cells.append(out / "full-strong" / "11")
         assert (cells[0] / "report.json").read_bytes() == (cells[1] / "report.json").read_bytes()
         for cell in cells:
-            assert json.loads((cell / "timings.json").read_text())["blas_threads"]["count"] == 1
+            assert json.loads((cell / "timings.json").read_text())["blas"]["count"] == 1
+
+    @pytest.mark.skipif(tinynn.BLAS["kernel"] is None or platform.machine() != "x86_64",
+                        reason="needs an x86-64 OpenBLAS that reports its kernel")
+    def test_blas_record_names_the_runtime_kernel(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": src}
+        printed = subprocess.run(
+            [sys.executable, "-c", "import json; from airmia import tinynn; "
+                                   "print(json.dumps(tinynn.BLAS))"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert json.loads(printed) == {**tinynn.BLAS, "kernel": "Haswell"}
 
 
 class TestRunAll:

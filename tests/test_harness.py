@@ -70,7 +70,7 @@ class TestRunScenario:
         assert sum(doc["stage_seconds"].values()) <= doc["wall_seconds"]
         peaks = [doc["stage_peak_rss_mb"][name] for name in stages]  # a high-water mark
         assert 0 < peaks[0] and peaks == sorted(peaks)
-        assert doc["blas_threads"] == tinynn.BLAS_THREADS
+        assert doc["blas"] == tinynn.BLAS
         last = timings.stat().st_mtime_ns
         assert all(p.stat().st_mtime_ns <= last
                    for p in small_run["cell"].rglob("*") if p.is_file())
@@ -78,8 +78,8 @@ class TestRunScenario:
     def test_confusion_json_carries_scenario_and_seed(self, small_run):
         doc = json.loads((small_run["cell"] / "confusion.json").read_text())
         assert doc["scenario"] == "full-strong" and doc["seed"] == 17
-        assert doc["accuracy"] == small_run["report"].confusion.accuracy
-        assert doc["counts"] == small_run["report"].confusion.counts.tolist()
+        assert doc["accuracy"] == small_run["report"].mia_accuracy
+        assert doc["counts"] == small_run["report"].evaluation.confusion.counts.tolist()
 
     def test_report_document_loads_back(self, small_run):
         loaded = harness.load_report_file(small_run["cell"] / "report.json")
@@ -157,9 +157,29 @@ class TestPersistenceFidelity:
         run_report = (tmp_path / "full-strong" / "19" / "report.json").read_bytes()
         assert run_report == (staged_run["cell"] / "report.json").read_bytes()
 
+    def test_reevaluation_recomputes_from_the_stored_models(self, small_run, tmp_path):
+        # a copy that only returned report.json's numbers would pass the equality tests above
+        import shutil
+
+        cell = tmp_path / "cell"
+        shutil.copytree(small_run["cell"], cell)
+        zero = init_network(classify.CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 0)
+        zero.params[:] = 0.0  # every posterior ties at (0.5, 0.5), and a tie denies
+        tinynn.save_model(zero, cell / "models" / "target.json")
+        mia_path = cell / "models" / "mia.json"
+        doc = json.loads(mia_path.read_text())
+        doc["decision_threshold"] = 0.999  # fewer held-out calls of "member" than at 0.5
+        mia_path.write_text(json.dumps(doc))
+        stored = harness.evaluation_numbers(small_run["report"])
+        numbers = harness.reevaluate_artifacts(cell)
+        assert numbers["target_train_accuracy"] == numbers["target_test_accuracy"] == 0.5
+        assert numbers["unauthorized_grant_rate"] == 0.0
+        assert stored["target_test_accuracy"] != 0.5
+        assert numbers["mia_counts"] != stored["mia_counts"]
+
     def test_loaded_target_reproduces_test_accuracy(self, small_run):
         art = harness.load_artifacts(small_run["cell"])
-        acc = classify.classification_accuracy(art["target"],
+        acc = classify.classification_accuracy(art["classifiers"].target,
                                                art["datasets"].test_pairs.provider)
         assert acc == small_run["report"].target_report.test_accuracy
 
@@ -208,9 +228,9 @@ def scenario_report():
     return harness.ScenarioReport(
         config=small_config(), seeds={"scenario": 11}, target_report=classifier_report(),
         surrogate_report=classifier_report(),
-        confusion=mia.ConfusionMatrix.from_counts([[3, 1], [1, 3]]),
-        gain_history={"train": [-0.6], "test": [-0.7]}, paired_agreement=1.0,
-        unauthorized_grant_rate=0.0)
+        evaluation=harness.Evaluation(confusion=mia.ConfusionMatrix.from_counts([[3, 1], [1, 3]]),
+                                      paired_agreement=1.0, unauthorized_grant_rate=0.0),
+        gain_history={"train": [-0.6], "test": [-0.7]})
 
 
 # name -> (reader, file name, a valid document, a key the reader needs)
