@@ -14,9 +14,12 @@ airmia pins it itself on import; this script's own OPENBLAS_NUM_THREADS=1
 is kept so that checkouts from before that pin hash the same numerics and
 compare equal.
 
-`compare` reports every hash that differs between two such files, leaving
-out files whose cell-relative path matches a --skip glob. `staged` compares
-each staged cell with the `run` cell of the same config.
+Each JSON file (and the reevaluated dict) also gets one hash per leaf, keyed
+`<file>#<dotted key path>`; a list is a leaf. These are not counted as hashes.
+`compare` reports every file hash that differs between two such files, leaving
+out files whose cell-relative path matches a --skip glob, and lists under each
+differing file the key paths whose leaves differ. `staged` compares each
+staged cell with the `run` cell of the same config.
 """
 
 from __future__ import annotations
@@ -39,6 +42,25 @@ SCENARIOS = ("full-strong", "same-power", "same-phase", "weak-authorized")
 CELLS = [(scenario, seed, "small") for scenario in SCENARIOS for seed in (11, 41)] \
     + [("full-strong", 3, "full")]
 PATHS = {"run": ["run"], "staged": ["gen", "train", "attack"]}
+KEY = "#"  # separates a file's name from a key path in its leaf hashes
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def leaf_hashes(name: str, value, path: str = "") -> dict:
+    """`name#path` -> hash of each leaf of a JSON value, by dotted key path."""
+    if not isinstance(value, dict):
+        return {f"{name}{KEY}{path}": sha256(json.dumps(value, sort_keys=True).encode())}
+    hashes = {}
+    for key, item in value.items():
+        hashes.update(leaf_hashes(name, item, f"{path}.{key}" if path else key))
+    return hashes
+
+
+def file_count(files: dict) -> int:
+    return sum(KEY not in name for name in files)
 
 
 def run(out: Path, dest: Path) -> None:
@@ -60,27 +82,36 @@ def run(out: Path, dest: Path) -> None:
                 if status != 0:
                     sys.exit(f"airmia {command} exited {status} on {scenario} seed {seed}")
             cell = root / scenario / str(seed)
-            files = {str(p.relative_to(cell)): hashlib.sha256(p.read_bytes()).hexdigest()
-                     for p in sorted(cell.rglob("*"))
-                     if p.is_file() and p.name != "timings.json"}
-            numbers = json.dumps(harness.reevaluate_artifacts(cell), sort_keys=True)
-            files["<reevaluate>"] = hashlib.sha256(numbers.encode()).hexdigest()
+            files = {}
+            for p in sorted(cell.rglob("*")):
+                if p.is_file() and p.name != "timings.json":
+                    name = str(p.relative_to(cell))
+                    files[name] = sha256(p.read_bytes())
+                    if p.suffix == ".json":
+                        files.update(leaf_hashes(name, json.loads(p.read_bytes())))
+            numbers = harness.reevaluate_artifacts(cell)
+            files["<reevaluate>"] = sha256(json.dumps(numbers, sort_keys=True).encode())
+            files.update(leaf_hashes("<reevaluate>", numbers))
             hashes[f"{path}/{scale}/{scenario}/{seed}"] = files
-            print(f"{path}/{scale}/{scenario}/{seed}: {len(files)} hashes", flush=True)
+            print(f"{path}/{scale}/{scenario}/{seed}: {file_count(files)} hashes", flush=True)
     dest.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"{sum(len(files) for files in hashes.values())} hashes written to {dest}")
+    print(f"{sum(file_count(files) for files in hashes.values())} hashes written to {dest}")
 
 
-def differences(before: dict, after: dict, skip=()) -> tuple[int, list[str]]:
+def differences(before: dict, after: dict, skip=()) -> tuple[int, list[tuple[str, list[str]]]]:
+    """The file hashes compared, and each differing file with its differing key paths."""
     compared, differ = 0, []
     for cell in sorted(set(before) | set(after)):
         old, new = before.get(cell, {}), after.get(cell, {})
-        for name in sorted(set(old) | set(new)):
-            if any(fnmatch.fnmatch(name, glob) for glob in skip):
+        names = sorted(set(old) | set(new))
+        for name in names:
+            if KEY in name or any(fnmatch.fnmatch(name, glob) for glob in skip):
                 continue
             compared += 1
             if old.get(name) != new.get(name):
-                differ.append(f"{cell}: {name}")
+                keys = [leaf.split(KEY, 1)[1] for leaf in names
+                        if leaf.startswith(name + KEY) and old.get(leaf) != new.get(leaf)]
+                differ.append((f"{cell}: {name}", keys))
     return compared, differ
 
 
@@ -109,8 +140,10 @@ def main(argv=None) -> int:
         split = {path: {cell.split("/", 1)[1]: files for cell, files in hashes.items()
                         if cell.startswith(f"{path}/")} for path in PATHS}
         compared, differ = differences(split["run"], split["staged"])
-    for line in differ:
+    for line, keys in differ:
         print(f"differs: {line}")
+        for key in keys:
+            print(f"    {key}")
     print(f"{compared} hashes compared, {len(differ)} differ")
     return 1 if differ else 0
 

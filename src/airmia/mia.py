@@ -33,6 +33,7 @@ from .tinynn import (
     network_from_document,
     parse_document,
     read_json,
+    training_inputs,
 )
 from .classify import CLASSIFIER_DIMS, features_matrix, posterior_matrix
 from .rfsim import SYMBOLS_PER_SAMPLE, Signals
@@ -148,13 +149,13 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
     """Gradient ascent on the empirical gain over the train partition.
 
     Adam descent on the negated gain (gain_logit_grad), each side weighted to
-    contribute 1/2 whatever the partition sizes. Each epoch's gains score the
-    float64 network that minibatch_adam writes back, so the last train gain is
-    empirical_gain over the returned model's outputs. Returns the model and
-    the per-epoch gain on both partitions.
+    contribute 1/2 whatever the partition sizes. Each epoch's gains score
+    minibatch_adam's float32 copy on the inputs rounded once to float32, so
+    the last train gain is empirical_gain over the returned weights' float32
+    outputs on them. Returns the model and the per-epoch gain on both sides.
     """
-    x_members = mia_inputs(dataset.members, surrogate)
-    x_nonmembers = mia_inputs(dataset.nonmembers, surrogate)
+    x_members = training_inputs(mia_inputs(dataset.members, surrogate))
+    x_nonmembers = training_inputs(mia_inputs(dataset.nonmembers, surrogate))
     x_train = np.concatenate([x_members[dataset.member_train_idx],
                               x_nonmembers[dataset.nonmember_train_idx]])
     is_member = np.concatenate([
@@ -168,8 +169,8 @@ def train_mia(surrogate: DenseNetwork, dataset: MembershipDataset, hyper: TrainH
 
     net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, hyper.seed)
 
-    def gains():
-        mem_probs, non_probs = infer(net, x_members)[:, 0], infer(net, x_nonmembers)[:, 0]
+    def gains(work):
+        mem_probs, non_probs = infer(work, x_members)[:, 0], infer(work, x_nonmembers)[:, 0]
         return (
             empirical_gain(mem_probs[dataset.member_train_idx],
                            non_probs[dataset.nonmember_train_idx]),

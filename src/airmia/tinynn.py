@@ -4,10 +4,10 @@ Plain matmul forward, hand-written reverse-mode gradients, Adam updates, and
 one mini-batch Adam loop (minibatch_adam) that fits every network. Two output
 heads are supported: a two-way softmax posterior and a scalar sigmoid. Every
 step runs in the network's own dtype. Networks are built, scored and stored in
-float64; minibatch_adam trains a float32 copy and writes it back, so each
-stored weight is a float64 holding a float32 value. A float32 Adam step
-flushes subnormal first moments to zero (see adam_step): dead units' decayed
-moments would otherwise run every step on the CPU's slow subnormal arithmetic.
+float64; minibatch_adam trains a float32 copy and writes it back once, at the
+end, so each stored weight is a float64 holding a float32 value. A float32 Adam
+step flushes subnormal first moments to zero (see adam_step): dead units'
+decayed moments would otherwise run every step on slow subnormal arithmetic.
 Beyond its loss's gradient, a training step allocates no array:
 minibatch_adam steps forward_batch, backward and adam_step through one
 StepWorkspace per fit.
@@ -141,6 +141,9 @@ class DenseNetwork:
     biases: list[np.ndarray] = field(init=False, repr=False)  # views, (fan_out,)
 
     def __post_init__(self):
+        width = {OutputHead.SOFTMAX2: 2, OutputHead.SIGMOID_SCALAR: 1}[self.output_head]
+        if self.layer_dims[-1] != width:
+            raise InvalidInputError(f"{self.output_head.value} head requires output dim {width}")
         self.weights, self.biases = _layer_views(self.params, self.layer_dims)
 
     @property
@@ -185,10 +188,6 @@ def init_network(layer_dims, output_head: OutputHead, seed: int) -> DenseNetwork
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise InvalidInputError(f"layer_dims must have >= 2 positive entries, got {layer_dims}")
     output_head = OutputHead(output_head)
-    if output_head is OutputHead.SOFTMAX2 and dims[-1] != 2:
-        raise InvalidInputError("softmax2 head requires output dim 2")
-    if output_head is OutputHead.SIGMOID_SCALAR and dims[-1] != 1:
-        raise InvalidInputError("sigmoid-scalar head requires output dim 1")
     size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
     net = DenseNetwork(layer_dims=dims, params=np.zeros(size), output_head=output_head)
     rng = np.random.default_rng(seed)
@@ -394,18 +393,18 @@ def adam_step(net: DenseNetwork, grads: np.ndarray, state: AdamState):
 
 def minibatch_adam(net: DenseNetwork, inputs, hyper: TrainHyper, logit_grad,
                    epoch_end, what: str) -> list:
-    """Mini-batch Adam over the rows of inputs, in float32; net.params is updated in place.
+    """Mini-batch Adam over the rows of inputs, in float32; net.params is set once, at the end.
 
     The inputs are rounded once to float32 (training_inputs). A float32 copy
-    of net trains and is written back into net.params after every epoch, so
-    epoch_end scores the float64 network, whose weights hold float32 values.
-    Each epoch visits the rows in a fresh permutation drawn from
-    (hyper.seed, 1), hyper.batch_size rows at a time. logit_grad(idx, out, z)
-    returns d(loss)/d(z) for the rows idx given their float32 outputs out and
-    the output layer's pre-activations z; out and z are overwritten by the
-    next step. epoch_end() returns the epoch's metric (a number or a tuple
-    of numbers), which must be finite, as must the parameters; the error
-    names `what`. Returns the per-epoch metrics.
+    of net trains and is written into net.params once, after the last epoch,
+    so a fit that raises leaves net.params as it was. Each epoch visits the
+    rows in a fresh permutation drawn from (hyper.seed, 1), hyper.batch_size
+    rows at a time. logit_grad(idx, out, z) returns d(loss)/d(z) for the rows
+    idx given their float32 outputs out and the output layer's
+    pre-activations z; out and z are overwritten by the next step.
+    epoch_end(work) returns the epoch's metric (a number or a tuple of
+    numbers) given the float32 copy, and it must be finite, as must the
+    copy's parameters; the error names `what`. Returns the per-epoch metrics.
 
     Each step gathers its rows into one StepWorkspace, built once per fit
     for batch_size rows (a shorter last batch uses its leading rows), and
@@ -432,10 +431,10 @@ def minibatch_adam(net: DenseNetwork, inputs, hyper: TrainHyper, logit_grad,
             out, cache = forward_batch(work, space.inputs, space)
             grads = backward(work, cache, logit_grad(idx, out, cache[1][-1]), space)
             adam_step(work, grads, state)
-        net.params[...] = work.params
-        history.append(epoch_end())
-        if not (np.isfinite(history[-1]).all() and np.isfinite(net.params).all()):
+        history.append(epoch_end(work))
+        if not (np.isfinite(history[-1]).all() and np.isfinite(work.params).all()):
             raise InvalidInputError(f"non-finite {what} or parameters after epoch {epoch}")
+    net.params[...] = work.params
     return history
 
 
@@ -487,7 +486,7 @@ def train_supervised(net: DenseNetwork, inputs, labels, hyper: TrainHyper):
         loss_sum += float(-np.log(p_label).sum())
         return cross_entropy_logit_grad(out, y[idx])
 
-    def mean_loss():
+    def mean_loss(_work):
         nonlocal loss_sum
         mean, loss_sum = loss_sum / x.shape[0], 0.0
         return mean

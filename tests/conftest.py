@@ -109,7 +109,8 @@ def reference_minibatch_adam(net: DenseNetwork, inputs, hyper: tinynn.TrainHyper
     """minibatch_adam written plainly: a @ w + b, ReLU, the head, backward, adam_step.
 
     The same float32 copy, permutation stream (hyper.seed, 1), batches,
-    per-epoch write-back and epoch_end calls; every array is a fresh one.
+    epoch_end(work) calls and one write-back after the last epoch; every
+    array is a fresh one.
     `what`, minibatch_adam's name for the metric in its errors, is unused.
     """
     x = np.asarray(inputs, dtype=np.float32)
@@ -142,8 +143,8 @@ def reference_minibatch_adam(net: DenseNetwork, inputs, hyper: tinynn.TrainHyper
                     dz = (dz @ work.weights[i].T) * (pre_acts[i - 1] > 0)
             grads = np.concatenate([g.ravel() for g in layer_grads])
             tinynn.adam_step(work, grads, state)
-        net.params[...] = work.params
-        history.append(epoch_end())
+        history.append(epoch_end(work))
+    net.params[...] = work.params
     return history
 
 
@@ -157,7 +158,7 @@ def reference_cross_entropy_fit(net: DenseNetwork, inputs, labels, hyper: tinynn
         loss_sum[0] += float(-np.log(np.maximum(p[np.arange(n), y[idx]], PROB_FLOOR)).sum())
         return (p - np.eye(2, dtype=p.dtype)[y[idx]]) / n
 
-    def mean_loss():
+    def mean_loss(_work):
         mean, loss_sum[0] = loss_sum[0] / len(y), 0.0
         return mean
 

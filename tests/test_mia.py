@@ -243,9 +243,15 @@ class TestTrainMia:
         params = model.network.params
         assert params.dtype == np.float64
         assert np.array_equal(params.astype(np.float32).astype(np.float64), params)
-        # the gains are scored on the written-back float64 network
-        mem = mia.membership_probabilities(model, surrogate, ds.members)
-        non = mia.membership_probabilities(model, surrogate, ds.nonmembers)
+        # the gains score the float32 training copy on the float32-rounded inputs
+        work = tinynn.DenseNetwork(layer_dims=mia.MIA_DIMS, params=params.astype(np.float32),
+                                   output_head=OutputHead.SIGMOID_SCALAR)
+
+        def probs(samples):
+            x = tinynn.training_inputs(mia.mia_inputs(samples, surrogate))
+            return tinynn.infer(work, x)[:, 0]
+
+        mem, non = probs(ds.members), probs(ds.nonmembers)
         assert history["train"][-1] == mia.empirical_gain(mem[ds.member_train_idx],
                                                           non[ds.nonmember_train_idx])
         assert history["test"][-1] == mia.empirical_gain(mem[ds.member_test_idx],

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -525,8 +526,11 @@ class TestTrainSupervised:
         x = np.random.default_rng(2).normal(size=(64, 32))
         y = np.arange(64) % 2
         net = init_network([32, 8, 2], OutputHead.SOFTMAX2, 2)
+        initial = net.params.tobytes()
         with pytest.raises(InvalidInputError, match=r"non-finite loss .* after epoch \d"):
             train_supervised(net, x, y, TrainHyper(epochs=3, learning_rate=1e300, seed=2))
+        # the failed fit wrote nothing back
+        assert net.params.tobytes() == initial
 
 
 class TestFloat32Training:
@@ -604,13 +608,16 @@ class TestFloat32Training:
             runs.append(net.params.tobytes())
         assert runs[0] == runs[1]
 
-    def test_minibatch_adam_writes_the_copy_back_after_every_epoch(self):
+    def test_minibatch_adam_writes_the_copy_back_once_after_the_last_epoch(self):
         x, y = separable_blobs(80)
         net = init_network([2, 8, 2], OutputHead.SOFTMAX2, 3)
+        initial = net.params.tobytes()
         seen = []
 
-        def epoch_end():
-            seen.append(net.params.copy())
+        def epoch_end(work):
+            # the caller's network is untouched while its copy trains
+            assert net.params.tobytes() == initial
+            seen.append(work.params.copy())
             return 0.0
 
         minibatch_adam(net, x, TrainHyper(epochs=3, seed=3),
@@ -618,10 +625,9 @@ class TestFloat32Training:
                        epoch_end, "loss")
         assert len(seen) == 3
         assert not np.array_equal(seen[0], seen[1]) and not np.array_equal(seen[1], seen[2])
-        for params in seen:
-            assert params.dtype == np.float64
-            assert np.array_equal(params.astype(np.float32).astype(np.float64), params)
-        assert np.array_equal(seen[-1], net.params)
+        assert all(params.dtype == np.float32 for params in seen)
+        assert net.params.dtype == np.float64
+        assert net.params.tobytes() == seen[-1].astype(np.float64).tobytes()
 
     def test_underflowed_label_probability_gets_minus_one_over_n(self):
         # a logit gap of 200 underflows p to exactly 0 in float32
@@ -687,7 +693,7 @@ class TestStepWorkspace:
             net = init_network(MIA_DIMS, OutputHead.SIGMOID_SCALAR, 2)
             history = fit(net, x, hyper,
                           lambda idx, out, z: gain_logit_grad(out, z, is_member[idx], weights[idx]),
-                          lambda: float(infer(net, x).sum()), "gain")
+                          lambda work: float(infer(work, x).sum()), "gain")
             runs.append((net.params.tobytes(), history))
         assert runs[0] == runs[1]
 
@@ -697,7 +703,7 @@ class TestStepWorkspace:
         net = init_network(CLASSIFIER_DIMS, OutputHead.SOFTMAX2, 7)
         start = []
 
-        def epoch_end():
+        def epoch_end(_work):
             if not start:  # trace from the end of the first epoch on
                 tracemalloc.start()
                 start.append(tracemalloc.get_traced_memory()[0])
@@ -762,6 +768,19 @@ class TestSerialization:
         doc.update(layer_dims=[3], weights=[], biases=[])  # no layer at all
         with pytest.raises(ArtifactError, match="shapes"):
             network_from_document(doc)
+
+    @pytest.mark.parametrize("dims,built,head", [
+        ([3, 1], OutputHead.SIGMOID_SCALAR, "softmax2"),
+        ([3, 2], OutputHead.SOFTMAX2, "sigmoid-scalar"),
+    ])
+    def test_head_disagreeing_with_output_layer_names_the_file(self, tmp_path, dims, built, head):
+        doc = model_document(init_network(dims, built, 0))
+        doc["output_head"] = head
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError,
+                           match=rf"net\.json: malformed model \({head} head requires output dim"):
+            load_model(path)
 
     def test_foreign_scaling_rejected(self):
         net = init_network([3, 2], OutputHead.SOFTMAX2, 0)
